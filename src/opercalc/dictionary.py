@@ -34,17 +34,13 @@ from .matrices import (
     smat_from_frac,
     smat_mul,
 )
-from .series import Density, LaurentSeries, Rat, half_integer
+from .series import Density, LaurentSeries, Rat, _fr, half_integer
 
 ZERO = LaurentSeries.zero()
 ONE = LaurentSeries.one()
 
 KIND_FAMILY = {"sl": "A", "sp": "C", "so_odd": "B"}
 FAMILY_KIND = {f: k for k, f in KIND_FAMILY.items()}
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # -- flagged systems -------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .errors import InsufficientTruncationError, PreconditionError
 from .kernels import BiKernel
-from .series import Density, LaurentSeries, Rat, half_integer
+from .series import Density, LaurentSeries, Rat, _fr, half_integer
 
 ZERO = LaurentSeries.zero()
 
@@ -29,10 +29,6 @@ def _gbinom(i: int, k: int) -> Fraction:
     for t in range(k):
         num *= i - t
     return Fraction(num, factorial(k))
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class DiffOp:
@@ -140,11 +136,6 @@ class DiffOp:
                 d = d.derivative()
             out = out + self.planck**i * c * d
         return Density(out, self.tgt)
-
-
-def diffop(coeffs: Mapping[int, LaurentSeries], src: Rat, tgt: Rat,
-           planck: Rat = 1) -> DiffOp:
-    return DiffOp.from_map(coeffs, src, tgt, planck)
 
 
 class PseudoSymbol:

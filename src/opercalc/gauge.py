@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     IdentityCheckError,
@@ -33,6 +34,7 @@ from .lie import LieModel, invariants
 from .matrices import (
     SeriesMatrix,
     smat_add,
+    smat_agrees,
     smat_comm,
     smat_derivative,
     smat_from_frac,
@@ -104,14 +106,8 @@ class GaugeElement:
         for r in range(self.model.rank):
             if not self.torus.get(r, ONE).agrees(other.torus.get(r, ONE)):
                 return False
-        n = max(len(self.steps), len(other.steps))
         z = smat_zero(self.model.N)
-        for i in range(n):
-            a = self.steps[i] if i < len(self.steps) else z
-            b = other.steps[i] if i < len(other.steps) else z
-            if not all(x.agrees(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)):
-                return False
-        return True
+        return all(smat_agrees(a, b) for a, b in zip_longest(self.steps, other.steps, fillvalue=z))
 
 
 def identity_gauge(model: LieModel) -> GaugeElement:
@@ -174,19 +170,26 @@ def _torus_powers(model: LieModel, torus: Dict[int, LaurentSeries]):
     return power
 
 
-def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries], q: SeriesMatrix,
-                 planck: Fraction, deriv: LaurentSeries) -> SeriesMatrix:
+def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: SeriesMatrix,
+                     sign: int) -> SeriesMatrix:
+    """Entrywise adjoint action of the torus element, with exponent sign*m."""
     power = _torus_powers(model, torus)
     out = smat_zero(model.N)
     for i in range(model.N):
         for j in range(model.N):
-            s = q[i][j]
+            s = w[i][j]
             if s.is_zero():
                 continue
             for r, m in enumerate(model.root_coords(i, j)):
                 if m and (r in torus):
-                    s = s * power(r, -m)
+                    s = s * power(r, sign * m)
             out[i][j] = s
+    return out
+
+
+def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries], q: SeriesMatrix,
+                 planck: Fraction, deriv: LaurentSeries) -> SeriesMatrix:
+    out = _scale_positions(model, torus, q, -1)
     if planck != 0:
         for r, c in torus.items():
             rate = c.derivative() * c.inverse()
@@ -198,26 +201,33 @@ def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries], q: SeriesMatr
     return out
 
 
-def _exp_neg_ad(model: LieModel, u: SeriesMatrix, a: SeriesMatrix) -> SeriesMatrix:
-    total = a
-    term = a
-    for k in range(1, 2 * model.dmax + 4):
-        term = smat_scale(Fraction(-1, k), smat_comm(u, term))
+def _nilpotent_sum(start: SeriesMatrix, step: Callable[[SeriesMatrix], SeriesMatrix],
+                   coeff: Callable[[int], Fraction], limit: int) -> SeriesMatrix:
+    """start + t_1 + t_2 + ... with t_0 = start, t_k = coeff(k) * step(t_{k-1}).
+
+    The step is nilpotent, so the sum stops at the first vanishing term;
+    `limit` bounds the number of terms tried.
+    """
+    total = term = start
+    for k in range(1, limit + 1):
+        term = step(term)
+        c = coeff(k)
+        if c != 1:
+            term = smat_scale(c, term)
         if smat_is_zero(term):
             return total
         total = smat_add(total, term)
-    raise AssertionError("nilpotent exponential failed to terminate")
+    raise AssertionError("nilpotent sum failed to terminate")
+
+
+def _exp_neg_ad(model: LieModel, u: SeriesMatrix, a: SeriesMatrix) -> SeriesMatrix:
+    return _nilpotent_sum(a, lambda t: smat_comm(u, t), lambda k: Fraction(-1, k),
+                          2 * model.dmax + 3)
 
 
 def _phi_neg_ad(model: LieModel, u: SeriesMatrix, w: SeriesMatrix) -> SeriesMatrix:
-    total = w
-    term = w
-    for k in range(1, 2 * model.dmax + 4):
-        term = smat_scale(Fraction(-1, k + 1), smat_comm(u, term))
-        if smat_is_zero(term):
-            return total
-        total = smat_add(total, term)
-    raise AssertionError("nilpotent exponential failed to terminate")
+    return _nilpotent_sum(w, lambda t: smat_comm(u, t), lambda k: Fraction(-1, k + 1),
+                          2 * model.dmax + 3)
 
 
 def _apply_step(model: LieModel, u: SeriesMatrix, q: SeriesMatrix,
@@ -250,14 +260,8 @@ def gauge_apply(conn: OperConnection, b: GaugeElement,
 
 
 def _mat_exp(model: LieModel, u: SeriesMatrix) -> SeriesMatrix:
-    total = smat_identity(model.N)
-    term = smat_identity(model.N)
-    for k in range(1, model.N + 1):
-        term = smat_scale(Fraction(1, k), smat_mul(term, u))
-        if smat_is_zero(term):
-            break
-        total = smat_add(total, term)
-    return total
+    return _nilpotent_sum(smat_identity(model.N), lambda t: smat_mul(t, u),
+                          lambda k: Fraction(1, k), model.N)
 
 
 def _unipotent_matrix(b: GaugeElement) -> SeriesMatrix:
@@ -266,23 +270,6 @@ def _unipotent_matrix(b: GaugeElement) -> SeriesMatrix:
         if not smat_is_zero(u):
             w = smat_mul(w, _mat_exp(b.model, u))
     return w
-
-
-def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: SeriesMatrix,
-                     sign: int) -> SeriesMatrix:
-    """Entrywise adjoint action of the torus element, with exponent sign*m."""
-    power = _torus_powers(model, torus)
-    out = smat_zero(model.N)
-    for i in range(model.N):
-        for j in range(model.N):
-            s = w[i][j]
-            if s.is_zero():
-                continue
-            for r, m in enumerate(model.root_coords(i, j)):
-                if m and (r in torus):
-                    s = s * power(r, sign * m)
-            out[i][j] = s
-    return out
 
 
 def steps_from_unipotent(model: LieModel, w: SeriesMatrix) -> List[SeriesMatrix]:
@@ -326,13 +313,8 @@ def gauge_inverse(b: GaugeElement, trunc: Optional[int] = None) -> GaugeElement:
     w = _unipotent_matrix(b)
     # w^{-1} = sum (1 - w)^k, a finite sum for unipotent w
     d = smat_sub(smat_identity(model.N), w)
-    inv = smat_identity(model.N)
-    term = smat_identity(model.N)
-    for _ in range(2 * model.dmax + 4):
-        term = smat_mul(term, d)
-        if smat_is_zero(term):
-            break
-        inv = smat_add(inv, term)
+    inv = _nilpotent_sum(smat_identity(model.N), lambda t: smat_mul(t, d),
+                         lambda k: Fraction(1), 2 * model.dmax + 4)
     winv = _scale_positions(model, b.torus, inv, +1) if b.torus else inv
     return GaugeElement(model, torus, steps_from_unipotent(model, winv))
 

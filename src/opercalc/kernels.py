@@ -12,18 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import PreconditionError
-from .series import LaurentSeries, Rat, half_integer
-
-
-def _tmin(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+from .series import LaurentSeries, Rat, _tmin, half_integer, unit_power
 
 
 class BiKernel:
@@ -119,7 +111,8 @@ class BiKernel:
 
         The leading order and both weights scale by e and must stay integral
         resp. half-integral; the range width is preserved, i.e. the result is
-        taken modulo (z1 - z2)^(e*mmin + width + 1).
+        taken modulo (z1 - z2)^(e*mmin + width + 1).  The coefficients of
+        (1 + eps)^e come from Miller's recurrence (:func:`unit_power`).
         """
         e = Fraction(e)
         c0 = self.coeff(self.mmin)
@@ -131,23 +124,8 @@ class BiKernel:
         w1 = half_integer(e * self.w1)
         w2 = half_integer(e * self.w2)
         width = self.mmax - self.mmin
-        zero = LaurentSeries.zero()
         eps = [self.coeff(self.mmin + k) for k in range(1, width + 1)]
-        out = [LaurentSeries.one()] + [zero] * width
-        powk = [LaurentSeries.one()] + [zero] * width
-        binom = Fraction(1)
-        for k in range(1, width + 1):
-            binom *= (e - (k - 1)) / k
-            new = [zero] * (width + 1)
-            for i, p in enumerate(powk):
-                if p.is_zero() and p.is_exact():
-                    continue
-                for j, q in enumerate(eps):
-                    if i + j + 1 <= width:
-                        new[i + j + 1] = new[i + j + 1] + p * q
-            powk = new
-            for i, p in enumerate(powk):
-                out[i] = out[i] + binom * p
+        out = unit_power(eps, e, LaurentSeries.zero(), LaurentSeries.one())
         base = int(em)
         return BiKernel(w1, w2, base, base + width,
                         {base + i: c for i, c in enumerate(out)})

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InsufficientTruncationError, PreconditionError
 
@@ -76,6 +76,34 @@ def fraction_root(c: Fraction, e: Fraction) -> Fraction:
     return (sign * Fraction(rp, rq)) ** e.numerator
 
 
+def unit_power(eps: Sequence, e: Fraction, zero, one) -> list:
+    """Coefficients g_0..g_n of (1 + sum_{j=1..n} eps[j-1] x^j)^e mod x^(n+1).
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7): g = f^e
+    solves f g' = e f' g, so g_0 = 1 and
+
+        g_k = (1/k) sum_{j=1..k} ((e+1) j - k) eps_j g_{k-j},
+
+    O(n^2) ring operations.  The coefficients lie in any ring containing Q,
+    given by its `zero` and `one`: Fractions for series powers, series for
+    kernel powers.
+    """
+    p, q = e.numerator, e.denominator
+    nonzero = [(j, x) for j, x in enumerate(eps, 1) if x != zero]
+    g = [one]
+    for k in range(1, len(eps) + 1):
+        acc = zero
+        for j, x in nonzero:
+            if j > k:
+                break
+            w = (p + q) * j - q * k  # q * ((e+1) j - k)
+            y = g[k - j]
+            if w and y != zero:
+                acc = acc + x * y * w
+        g.append(acc * Fraction(1, q * k))
+    return g
+
+
 class LaurentSeries:
     """Immutable truncated Laurent series with exact rational coefficients."""
 
@@ -88,9 +116,10 @@ class LaurentSeries:
             if len(cs) < trunc - val:
                 cs.extend(Fraction(0) for _ in range(trunc - val - len(cs)))
         # strip leading zeros, raising the valuation
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            val += 1
+        if cs and cs[0] == 0:
+            lead = next((i for i, c in enumerate(cs) if c), len(cs))
+            del cs[:lead]
+            val += lead
         if trunc is None:
             while cs and cs[-1] == 0:
                 cs.pop()
@@ -300,7 +329,7 @@ class LaurentSeries:
         return out
 
     def power_rational(self, e: Rat, trunc: Optional[int] = None) -> "LaurentSeries":
-        """Rational power via the binomial series.
+        """Rational power; non-integer e uses :func:`unit_power` (Miller's recurrence).
 
         Requires e*val integral and an exact rational power of the leading
         coefficient; for non-integer e this means the leading coefficient is
@@ -335,26 +364,9 @@ class LaurentSeries:
             rel = min(rel, trunc - int(ve))
         if rel <= 0:
             return LaurentSeries.zero(int(ve))
-        # self = c0 z^v (1 + eps); result = r0 z^{ve} sum_k binom(e,k) eps^k
+        # self = c0 z^v (1 + eps); result = r0 z^{ve} (1 + eps)^e
         eps = [self.coeff(self.val + i) / c0 for i in range(1, rel)]
-        out = [Fraction(0)] * rel
-        out[0] = Fraction(1)
-        powk = [Fraction(1)] + [Fraction(0)] * (rel - 1)  # eps^k in relative orders
-        binom = Fraction(1)
-        for k in range(1, rel):
-            binom *= (e - (k - 1)) / k
-            new = [Fraction(0)] * rel
-            for i, p in enumerate(powk):
-                if p == 0:
-                    continue
-                for j, q in enumerate(eps):
-                    if i + j + 1 < len(new):
-                        new[i + j + 1] += p * q
-            powk = new
-            if all(c == 0 for c in powk):
-                break
-            for i, p in enumerate(powk):
-                out[i] += binom * p
+        out = unit_power(eps, e, Fraction(0), Fraction(1))
         return LaurentSeries(int(ve), [r0 * c for c in out], int(ve) + rel)
 
     def sqrt(self, trunc: Optional[int] = None) -> "LaurentSeries":

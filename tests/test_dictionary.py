@@ -122,6 +122,10 @@ class TestFlaggedSystem:
         with pytest.raises(NotAnOperError):
             FlaggedSystem(q, F(-1, 2), F(3, 2), 1).validate()
 
+    def test_float_planck_rejected(self):
+        with pytest.raises(TypeError):
+            FlaggedSystem(((ZERO, ZERO), (ONE, ZERO)), F(-1, 2), F(3, 2), 0.5)
+
     def test_symbol_and_trace(self):
         q = ((Z, ZERO), (2 * ONE, -Z))
         fs = FlaggedSystem(q, F(-1, 2), F(3, 2), 1)

@@ -15,7 +15,6 @@ from opercalc.diffops import (
     DiffOp,
     PseudoSymbol,
     compose,
-    diffop,
     diffop_from_kernel,
     kernel_from_diffop,
     lie_action,
@@ -80,6 +79,12 @@ class TestDiffOpBasics:
             DiffOp(2, 0, 0, 1, [ONE, ONE])
         with pytest.raises(PreconditionError):
             DiffOp(1, 0, 0, 1, [Z, ZERO])
+
+    def test_float_planck_rejected(self):
+        with pytest.raises(TypeError):
+            DiffOp.from_map({0: ONE}, 0, 0, planck=0.5)
+        with pytest.raises(TypeError):
+            PseudoSymbol(0, -2, 0, 0, 0.5, {0: ONE})
 
     def test_from_map_trims_zero_lead(self):
         L = DiffOp.from_map({3: ZERO, 1: Z, 0: ONE}, 0, 1)

@@ -150,6 +150,48 @@ class TestPower:
         assert kmul(kmul(P, P), P).agrees(kmul(K, K))
 
 
+def binomial_power(K, e):
+    """K^e as sum_k binom(e, k) eps^k, eps^k by repeated convolution in D."""
+    width = K.mmax - K.mmin
+    eps = [K.coeff(K.mmin + j) for j in range(1, width + 1)]
+    out = [ONE] + [LaurentSeries.zero()] * width
+    powk = list(out)
+    binom = F(1)
+    for k in range(1, width + 1):
+        binom = binom * (e - (k - 1)) / k
+        new = [LaurentSeries.zero()] * (width + 1)
+        for i, p in enumerate(powk):
+            for j, q in enumerate(eps, 1):
+                if i + j <= width:
+                    new[i + j] = new[i + j] + p * q
+        powk = new
+        out = [o + binom * p for o, p in zip(out, powk)]
+    base = K.mmin * e
+    assert base.denominator == 1
+    base = int(base)
+    return BiKernel(K.w1 * e, K.w2 * e, base, base + width,
+                    {base + i: c for i, c in enumerate(out)})
+
+
+class TestPowerOracle:
+    def test_four_thirds_equals_binomial_series(self):
+        # Laurent coefficients of valuation -2 .. 2 behind the leading 1
+        K = BiKernel(F(3, 2), F(3, 2), -3, 2, {
+            -3: ONE,
+            -2: LaurentSeries.from_terms({-2: 1, 0: F(-1, 2), 2: 3}),
+            -1: LaurentSeries.from_terms({-1: F(2, 3), 1: 1}),
+            0: LaurentSeries.from_terms({0: -2, 2: F(1, 5)}),
+            1: LaurentSeries.from_terms({1: 7, 2: -1}),
+            2: LaurentSeries.from_terms({2: F(-3, 4)}),
+        })
+        P = K.power(F(4, 3))
+        R = binomial_power(K, F(4, 3))
+        assert P == R
+        assert P.trunc == R.trunc is None
+        assert [c.trunc for c in P.coeffs.values()] == [c.trunc for c in R.coeffs.values()]
+        assert (P.mmin, P.mmax, P.weights()) == (-4, 1, (2, 2))
+
+
 class TestParityExtension:
     def test_skew_extension_of_second_order_kernel(self):
         K = second_order_kernel(U)

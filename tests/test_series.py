@@ -18,6 +18,15 @@ class TestNormalization:
     def test_leading_zeros_raise_valuation(self):
         s = LaurentSeries(-2, [0, 0, 3, 1], None)
         assert s.val == 0 and s.coeffs == (F(3), F(1))
+        # under a finite trunc the certified zero tail stays
+        s = LaurentSeries(-2, [0, 0, 3, 1, 0], 4)
+        assert (s.val, s.coeffs, s.trunc) == (0, (F(3), F(1), F(0), F(0)), 4)
+        s = LaurentSeries(-3, [0] * 5 + [7], 5)
+        assert (s.val, s.coeffs, s.trunc) == (2, (F(7), F(0), F(0)), 5)
+        s = LaurentSeries(-2, [0, 0, 0], 1)
+        assert (s.val, s.coeffs, s.trunc) == (1, (), 1)
+        s = LaurentSeries(0, [0] * 40000 + [1, 2], 40001)
+        assert (s.val, s.coeffs, s.trunc) == (40000, (F(1),), 40001)
 
     def test_exact_trailing_zeros_stripped(self):
         s = LaurentSeries(1, [2, 0, 0], None)
@@ -163,6 +172,22 @@ class TestRationalPower:
     def test_exact_monomial_power_exact(self):
         p = LaurentSeries.monomial(4, 2).power_rational(F(1, 2))
         assert p.is_exact() and p == LaurentSeries.monomial(2, 1)
+
+    @pytest.mark.parametrize("e, lead", [(F(1, 2), F(4)), (F(-1, 3), F(8)), (F(4, 3), F(27, 8))])
+    def test_matches_sympy_expansion(self, e, lead):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        terms = {0: lead, 1: 2, 2: F(-1, 3), 3: 5, 7: F(3, 4)}
+        base = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in terms.items())
+        ref = sympy.expand(sympy.series(base ** sympy.Rational(e.numerator, e.denominator),
+                                        x, 0, 24).removeO())
+        expected = []
+        for k in range(24):
+            c = ref.coeff(x, k)
+            assert c.is_Rational
+            expected.append(F(int(c.p), int(c.q)))
+        assert S(terms).power_rational(e, trunc=24) == LaurentSeries(0, expected, 24)
+        assert S(terms, trunc=24).power_rational(e) == LaurentSeries(0, expected, 24)
 
     def test_negative_integer_power_via_hint(self):
         s = S({1: 1, 2: 1})
