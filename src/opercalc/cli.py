@@ -60,7 +60,7 @@ from .gauge import (
     normalize_singular,
 )
 from .kernels import BiKernel
-from .lie import model
+from .lie import model, parse_algebra
 from .series import Density, LaurentSeries
 
 
@@ -139,13 +139,6 @@ def _with_trunc(fn, trunc: int):
 
 def _rat(text: str) -> Fraction:
     return ser.rat_parse(text)
-
-
-def _algebra(text: str):
-    parts = text.split(":")
-    if len(parts) != 2 or parts[0].upper() not in "ABCD" or not parts[1].isdigit():
-        raise MalformedInputError(f"algebra descriptor must be TYPE:RANK, got {text!r}")
-    return model(parts[0].upper(), int(parts[1]))
 
 
 def _compact(obj: dict) -> str:
@@ -351,7 +344,7 @@ def cmd_hitchin(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    m = _algebra(args.algebra)
+    m = parse_algebra(args.algebra)
     total, rows = moduli_dimension(m, args.genus, args.twist)
     print(f"algebra {m.describe()} genus {args.genus} twist {args.twist}")
     for d, k, dim in rows:
@@ -511,7 +504,7 @@ def build_parser() -> _Parser:
     out_flag(p)
 
     p = cmd("dims", cmd_dims, "global parameter count over a curve")
-    p.add_argument("--algebra", required=True, help="TYPE:RANK, e.g. A:2")
+    p.add_argument("--algebra", required=True, help="TYPE:RANK (e.g. A:2) or sl:N, so:N, sp:N")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--twist", type=int, default=0,
                    help="degree of the twisting divisor (default 0)")

@@ -35,9 +35,9 @@ from .matrices import (
     SeriesMatrix,
     smat_add,
     smat_agrees,
+    smat_combine,
     smat_comm,
     smat_derivative,
-    smat_from_frac,
     smat_identity,
     smat_is_zero,
     smat_mul,
@@ -133,13 +133,8 @@ class CanonicalForm:
 
     def matrix(self) -> SeriesMatrix:
         m = self.model
-        q = smat_from_frac(m.y)
-        slot = 0
-        for d in sorted(set(m.exponents)):
-            for b in m.kostant_data(d)["vbasis"]:
-                q = smat_add(q, smat_scale(self.v[slot].series, smat_from_frac(b)))
-                slot += 1
-        return q
+        vbasis = [b for d in sorted(set(m.exponents)) for b in m.kostant_data(d)["vbasis"]]
+        return smat_combine([ONE] + [dens.series for dens in self.v], [m.y] + vbasis)
 
     def connection(self) -> OperConnection:
         return OperConnection(self.model, self.planck, self.matrix())
@@ -273,13 +268,14 @@ def _unipotent_matrix(b: GaugeElement) -> SeriesMatrix:
 
 
 def steps_from_unipotent(model: LieModel, w: SeriesMatrix) -> List[SeriesMatrix]:
-    """Peel a unipotent group element into homogeneous exponential steps."""
+    """Peel a unipotent group element into homogeneous exponential steps.
+
+    u_d is read from w at the degree-d pivots (the identity has degree 0);
+    input outside the group of the model leaves a nonzero residual w - 1.
+    """
     steps = []
     for d in range(1, model.dmax + 1):
-        diff = smat_sub(w, smat_identity(model.N))
-        u = model.grade_parts(diff).get(d, smat_zero(model.N))
-        if not model.in_model(u):
-            raise PreconditionError("matrix is not in the unipotent group of the model")
+        u = smat_combine(model.coords(d, w), model.graded_basis(d))
         steps.append(u)
         if not smat_is_zero(u):
             w = smat_mul(_mat_exp(model, smat_scale(-1, u)), w)
@@ -355,9 +351,7 @@ def normalize(conn: OperConnection, trunc: Optional[int] = None,
     steps: List[SeriesMatrix] = []
     vout: List[LaurentSeries] = []
     for r in range(1, model.dmax + 2):
-        d = r - 1
-        x_part = model.grade_parts(q).get(d, smat_zero(model.N))
-        z, v = model.kostant_split(d, x_part)
+        z, v = model.kostant_split(r - 1, q)
         vout.extend(v)
         if r <= model.dmax:
             u = smat_scale(-1, z)
@@ -403,19 +397,16 @@ def desingularize(f: LaurentSeries, cf: CanonicalForm,
     conn = OperConnection(model, h, q)
     torus = {r: f for r in range(model.rank)}
     rate = f.derivative() * finv
-    u1 = smat_scale(rate * Fraction(h, 2), smat_from_frac(model.x)) if h else smat_zero(model.N)
-    b = GaugeElement(model, torus, [u1])
-    out = gauge_apply(conn, b)
-    parts = model.grade_parts(out.q)
-    sub = parts.get(-1)
-    if sub is None or not all(
+    u1 = smat_combine([rate * Fraction(h, 2)], [model.x])
+    out = gauge_apply(conn, GaugeElement(model, torus, [u1])).q
+    if not all(
         s.agrees(LaurentSeries.constant(k))
-        for s, k in zip(model.subdiagonal_coords(sub), model.y_coeffs)
+        for s, k in zip(model.subdiagonal_coords(out), model.y_coeffs)
     ):
         raise IdentityCheckError("desingularizing gauge did not restore the principal part")
     vout: List[LaurentSeries] = []
     for d in range(0, model.dmax + 1):
-        z, v = model.kostant_split(d, parts.get(d, smat_zero(model.N)))
+        z, v = model.kostant_split(d, out)
         if not smat_is_zero(z):
             raise IdentityCheckError(f"desingularized connection has a defect in degree {d}")
         vout.extend(v)
@@ -470,12 +461,11 @@ def embed_sl2(model: LieModel, planck: Fraction, u: Density,
             for b in model.kostant_data(d)["vbasis"]]
     if len(etas) != len(high):
         raise PreconditionError(f"expected {len(high)} higher densities, got {len(etas)}")
-    q = smat_add(smat_from_frac(model.y),
-                 smat_scale(-1 * u.series, smat_from_frac(model.x)))
-    for (d, b), eta in zip(high, etas):
+    for (d, _), eta in zip(high, etas):
         if eta.weight != d + 1:
             raise PreconditionError(f"density for exponent {d} must have weight {d + 1}")
-        q = smat_add(q, smat_scale(eta.series, smat_from_frac(b)))
+    q = smat_combine([ONE, -u.series] + [eta.series for eta in etas],
+                     [model.y, model.x] + [b for _, b in high])
     return OperConnection(model, planck, q)
 
 
@@ -491,13 +481,13 @@ def act_quadratic_differential(conn: OperConnection, omega: Density,
         raise PreconditionError("the shift must have weight 2")
     model = conn.model
     a = _oper_subdiagonal(model, model.grade_parts(conn.q))
-    q = conn.q
-    for ar, kr, e in zip(a, model.y_coeffs, model.e_vectors):
+    coeffs = []
+    for ar, kr in zip(a, model.y_coeffs):
         if not ar.is_unit():
             raise NotAnOperError("shifting needs invertible simple-root coefficients")
-        coeff = (-1 * omega.series * kr).div(ar, trunc=trunc)
-        q = smat_add(q, smat_scale(coeff, smat_from_frac(e)))
-    return OperConnection(model, conn.planck, q)
+        coeffs.append((-1 * omega.series * kr).div(ar, trunc=trunc))
+    return OperConnection(model, conn.planck,
+                          smat_add(conn.q, smat_combine(coeffs, model.e_vectors)))
 
 
 def hitchin_map(cf: CanonicalForm) -> List[Density]:

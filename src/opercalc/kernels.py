@@ -15,7 +15,7 @@ from math import factorial
 from typing import Mapping
 
 from .errors import PreconditionError
-from .series import LaurentSeries, Rat, _tmin, half_integer, unit_power
+from .series import LaurentSeries, Rat, _fr, _tmin, half_integer, unit_power
 
 
 class BiKernel:
@@ -107,28 +107,32 @@ class BiKernel:
         return BiKernel(self.w2, self.w1, self.mmin, self.mmax, out)
 
     def power(self, e: Rat) -> "BiKernel":
-        """K^e for rational e, for kernels with leading coefficient exactly 1.
+        """K^e for rational e, for kernels whose leading coefficient agrees with 1.
 
         The leading order and both weights scale by e and must stay integral
         resp. half-integral; the range width is preserved, i.e. the result is
-        taken modulo (z1 - z2)^(e*mmin + width + 1).  The coefficients of
-        (1 + eps)^e come from Miller's recurrence (:func:`unit_power`).
+        taken modulo (z1 - z2)^(e*mmin + width + 1).  With K = c0 D^mmin (1 +
+        eps), the coefficients of (1 + eps)^e come from Miller's recurrence
+        (:func:`unit_power`) and are scaled by c0^e; an exact c0 = 1 makes
+        both c0 factors the exact series 1.
         """
-        e = Fraction(e)
+        e = _fr(e)
         c0 = self.coeff(self.mmin)
-        if not (c0.is_exact() and c0 == LaurentSeries.one()):
-            raise PreconditionError("kernel power needs leading coefficient exactly 1")
+        if not c0.agrees(1):
+            raise PreconditionError("kernel power needs leading coefficient 1")
         em = e * self.mmin
         if em.denominator != 1:
             raise PreconditionError(f"power {e} of leading order {self.mmin} is not integral")
         w1 = half_integer(e * self.w1)
         w2 = half_integer(e * self.w2)
         width = self.mmax - self.mmin
-        eps = [self.coeff(self.mmin + k) for k in range(1, width + 1)]
+        inv0 = c0.inverse()
+        eps = [self.coeff(self.mmin + k) * inv0 for k in range(1, width + 1)]
         out = unit_power(eps, e, LaurentSeries.zero(), LaurentSeries.one())
+        lead = c0.power_rational(e)
         base = int(em)
         return BiKernel(w1, w2, base, base + width,
-                        {base + i: c for i, c in enumerate(out)})
+                        {base + i: c * lead for i, c in enumerate(out)})
 
     def symmetrize_lift(self, parity: int, extra: int) -> "BiKernel":
         """Extend across the diagonal by `extra` orders with a chosen parity.

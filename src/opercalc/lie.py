@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import MalformedInputError
 from .matrices import (
@@ -29,11 +29,8 @@ from .matrices import (
     fmat_zero,
     nullspace,
     rref,
-    smat_add,
     smat_combine,
-    smat_from_frac,
     smat_mul,
-    smat_transpose,
     smat_zero,
     solve_exact,
 )
@@ -117,10 +114,8 @@ class LieModel:
 
     def _simple_classes(self) -> List[Tuple[int, int]]:
         """Representative matrix position (0-based) of each simple root."""
-        N, n = self.N, self.rank
-        if self.family in ("A", "B"):
-            return [(r, r + 1) for r in range(n)]
-        if self.family == "C":
+        n = self.rank
+        if self.family != "D":
             return [(r, r + 1) for r in range(n)]
         return [(r, r + 1) for r in range(n - 1)] + [(n - 2, n)]
 
@@ -234,9 +229,6 @@ class LieModel:
         self._graded[d] = basis
         return basis
 
-    def dim_graded(self, d: int) -> int:
-        return len(self.graded_basis(d))
-
     def _extraction(self, d: int):
         """Pivot positions and the rational matrix recovering coordinates."""
         if d in self._extract:
@@ -252,7 +244,8 @@ class LieModel:
         return ppos, E
 
     def coords(self, d: int, X: SeriesMatrix) -> List[LaurentSeries]:
-        """Coordinates of a degree-d series element in the graded basis."""
+        """Coordinates of the degree-d part of any model matrix X in the graded
+        basis, read only at the degree-d pivot entries of X."""
         ppos, E = self._extraction(d)
         return apply_frac(E, [X[i][j] for (i, j) in ppos])
 
@@ -329,7 +322,8 @@ class LieModel:
         return data
 
     def kostant_split(self, d: int, X: SeriesMatrix) -> Tuple[SeriesMatrix, List[LaurentSeries]]:
-        """Write a degree-d element as [y, Z] + sum v_i B_i with Z of degree d+1."""
+        """Write the degree-d part of X as [y, Z] + sum v_i B_i, Z of degree d+1;
+        X is read only at the degree-d pivots, as in :meth:`coords`."""
         data = self.kostant_data(d)
         c = self.coords(d, X)
         zv = apply_frac(data["Minv"], c)
@@ -341,14 +335,14 @@ class LieModel:
 
     def in_model(self, q: SeriesMatrix) -> bool:
         """All certified coefficients satisfy the defining constraints."""
+        N = self.N
         if self.family == "A":
-            tr = LaurentSeries.zero()
-            for i in range(self.N):
-                tr = tr + q[i][i]
-            return tr.is_zero()
-        Js = smat_from_frac(self.J)
-        M = smat_add(smat_mul(smat_transpose(q), Js), smat_mul(Js, q))
-        return all(x.is_zero() for row in M for x in row)
+            return sum((q[i][i] for i in range(N)), LaurentSeries.zero()).is_zero()
+        # J is antidiagonal with signs s: (q^T J + J q)[a][b] is s[N-1-b] q[N-1-b][a]
+        # + s[a] q[N-1-a][b], and J^T = +-J, so a <= b suffice
+        s = [self.J[i][N - 1 - i] for i in range(N)]
+        return all((s[N - 1 - b] * q[N - 1 - b][a] + s[a] * q[N - 1 - a][b]).is_zero()
+                   for a in range(N) for b in range(a, N))
 
     def grade_parts(self, q: SeriesMatrix) -> Dict[int, SeriesMatrix]:
         """Split a matrix positionwise by grading; zero entries are dropped."""

@@ -21,17 +21,9 @@ SeriesMatrix = List[List[LaurentSeries]]
 # -- rational matrices -------------------------------------------------------
 
 
-def fmat(rows: Sequence[Sequence]) -> FracMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def fmat_zero(n: int, m: Optional[int] = None) -> FracMatrix:
     m = n if m is None else m
     return tuple((Fraction(0),) * m for _ in range(n))
-
-
-def fmat_identity(n: int) -> FracMatrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def fmat_add(a: FracMatrix, b: FracMatrix) -> FracMatrix:
@@ -60,10 +52,6 @@ def fmat_comm(a: FracMatrix, b: FracMatrix) -> FracMatrix:
 
 def fmat_transpose(a: FracMatrix) -> FracMatrix:
     return tuple(zip(*a)) if a else a
-
-
-def fmat_trace(a: FracMatrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
@@ -175,10 +163,6 @@ def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
 
 def smat_comm(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
     return smat_sub(smat_mul(a, b), smat_mul(b, a))
-
-
-def smat_transpose(a: SeriesMatrix) -> SeriesMatrix:
-    return [list(col) for col in zip(*a)]
 
 
 def smat_derivative(a: SeriesMatrix) -> SeriesMatrix:

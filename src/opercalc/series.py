@@ -187,9 +187,6 @@ class LaurentSeries:
             return Fraction(0)
         return self.coeffs[k - self.val]
 
-    def constant_term(self) -> Fraction:
-        return self.coeff(0)
-
     def leading(self) -> Fraction:
         if self.is_zero():
             raise PreconditionError("zero series has no leading coefficient")

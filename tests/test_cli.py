@@ -83,6 +83,15 @@ class TestNormalize:
         cf = ser.canonical_load(json.loads((tmp_path / "c.canonical.json").read_text()))
         assert cf.v[0].series == Z * Z + Z
 
+    def test_truncated_zero_is_not_certified_exact(self, tmp_path, capsys):
+        conn = OperConnection(model("A", 1), F(1), ((ZERO, LaurentSeries.zero(5)), (ONE, ZERO)))
+        src = write(tmp_path / "c.json", ser.connection_obj(conn))
+        code, out, err = run(["normalize", src], capsys)
+        assert code == 0 and err == ""
+        assert "c.canonical.json (certified order: 5)" in out
+        cf = ser.canonical_load(json.loads((tmp_path / "c.canonical.json").read_text()))
+        assert cf.v[0].series == LaurentSeries.zero(5)
+
 
 class TestConvert:
     def test_round_trip_is_bit_identical(self, tmp_path, capsys):
@@ -226,6 +235,15 @@ class TestTables:
         assert code == 0 and out.splitlines()[-1] == "total 3"
         code, out, _ = run(["dims", "--algebra", "A:1", "--genus", "1"], capsys)
         assert code == 0 and out.splitlines()[-1] == "total 1"
+
+    def test_dims_accepts_aliases(self, capsys):
+        assert run(["dims", "--algebra", "sl:3", "--genus", "2"], capsys) == \
+            run(["dims", "--algebra", "A:2", "--genus", "2"], capsys)
+
+    def test_dims_unknown_algebra_exits_1(self, capsys):
+        code, out, err = run(["dims", "--algebra", "Q:2", "--genus", "2"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("operctl: code=1 ")
 
     def test_classify_table(self, tmp_path, capsys):
         cf = CanonicalForm(

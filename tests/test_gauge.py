@@ -34,12 +34,15 @@ from opercalc.gauge import (
     moduli_dimension,
     normalize,
     normalize_singular,
+    steps_from_unipotent,
 )
 from opercalc.lie import invariants, model
 from opercalc.matrices import (
     smat_add,
     smat_agrees,
+    smat_combine,
     smat_from_frac,
+    smat_identity,
     smat_scale,
     smat_zero,
 )
@@ -164,6 +167,14 @@ class TestAction:
         assert gauge_compose(b, binv).is_identity()
         assert gauge_compose(binv, b).is_identity()
 
+    @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
+    def test_unipotent_peeling_rejects_non_model_matrix(self, family, rank):
+        m = model(family, rank)
+        w = smat_identity(m.N)
+        w[0][1] = ONE  # a simple-root entry without its form partner
+        with pytest.raises(PreconditionError):
+            steps_from_unipotent(m, w)
+
     def test_validate_rejects_inhomogeneous_step(self):
         sl2 = model("A", 1)
         bad = GaugeElement(sl2, {}, [[[ZERO, ZERO], [ONE, ZERO]]])
@@ -253,6 +264,14 @@ class TestNormalize:
         for dens in cf.v:
             assert not dens.series.is_exact()
             assert dens.series.trunc <= 9
+
+    @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+    def test_truncated_zero_keeps_its_order(self, family, rank):
+        # y + O(z^5) x: the degree-1 coordinate is unknown from order 5 on
+        m = model(family, rank)
+        q = smat_combine([ONE, LaurentSeries.zero(5)], [m.y, m.x])
+        _, cf = normalize(OperConnection(m, F(1), q))
+        assert cf.v[0].series == LaurentSeries.zero(5)
 
     def test_rejects_low_grade(self):
         sl3 = model("A", 2)

@@ -119,6 +119,18 @@ class TestPower:
         with pytest.raises(PreconditionError):
             K.power(F(1, 2))
 
+    def test_float_exponent_rejected(self):
+        K = BiKernel(1, 1, -2, -1, {-2: ONE})
+        with pytest.raises(TypeError):
+            K.power(0.5)
+
+    def test_truncated_kernel_half_power_round_trip(self):
+        K = BiKernel(1, 1, -2, 2, {-2: ONE.truncate(10), -1: U.truncate(10),
+                                   0: U.derivative(), 2: Z * U})
+        H = K.power(F(1, 2))
+        assert H.trunc is not None and (H.mmin, H.mmax) == (-1, 3)
+        assert H.power(2).agrees(K)
+
     def test_integer_power_matches_convolution(self):
         K = BiKernel(1, 1, -2, 1, {-2: ONE, 0: U, 1: U.derivative()})
         P = K.power(3)

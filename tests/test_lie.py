@@ -129,6 +129,38 @@ class TestKostantSplit:
         assert len(set(prints.values())) == len(prints)
 
 
+def dense_in_model(m, q):
+    """q^T J + J q == 0 by two dense products, the defining constraint itself."""
+    Js = smat_from_frac(m.J)
+    qt = [list(col) for col in zip(*q)]
+    return smat_is_zero(smat_add(smat_mul(qt, Js), smat_mul(Js, q)))
+
+
+class TestInModel:
+    @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                                             ("D", 3), ("D", 4)])
+    def test_matches_dense_constraint(self, family, rank):
+        rng = random.Random(f"in_model:{family}:{rank}")
+        m = model(family, rank)
+        seen = set()
+        for _ in range(12):
+            q = smat_zero(m.N)
+            for d in range(-m.dmax, m.dmax + 1):
+                q = smat_add(q, rnd_graded(rng, m, d, trunc=rng.randint(3, 8)))
+            cases = [q]
+            for pert in (rnd_series(rng, 6), LaurentSeries.zero(4), LaurentSeries.one()):
+                i, j = rng.randrange(m.N), rng.randrange(m.N)
+                bad = [row[:] for row in q]
+                bad[i][j] = bad[i][j] + pert
+                cases.append(bad)
+            for c in cases:
+                got = m.in_model(c)
+                assert got == dense_in_model(m, c)
+                seen.add(got)
+            assert m.in_model(q)
+        assert seen == {True, False}
+
+
 def elementary_symmetric(vals, k):
     total = F(0)
     for c in combinations(vals, k):
