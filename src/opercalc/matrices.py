@@ -137,27 +137,44 @@ def smat_identity(n: int) -> SeriesMatrix:
             for i in range(n)]
 
 
+def is_exact_zero(x: LaurentSeries) -> bool:
+    """Exactly 0: no certified coefficient and no truncation order to carry.
+
+    A truncated zero O(z^k) is not exact; it must still take part in products
+    and sums, because its order bounds what the result certifies.
+    """
+    return not x.coeffs and x.trunc is None
+
+
+def smat_is_exact_zero(a: SeriesMatrix) -> bool:
+    return all(is_exact_zero(x) for row in a for x in row)
+
+
 def smat_add(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[y if is_exact_zero(x) else x if is_exact_zero(y) else x + y
+             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smat_sub(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x if is_exact_zero(y) else -y if is_exact_zero(x) else x - y
+             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smat_scale(c, a: SeriesMatrix) -> SeriesMatrix:
-    return [[c * x for x in row] for row in a]
+    return [[x if is_exact_zero(x) else c * x for x in row] for row in a]
 
 
 def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = smat_zero(n, m)
-    for i in range(n):
-        for j in range(m):
-            acc = LaurentSeries.zero()
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            out[i][j] = acc
+    """a * b, skipping exact-zero factors; each entry sums its terms in index order."""
+    rows_b = [[(j, y) for j, y in enumerate(row) if not is_exact_zero(y)] for row in b]
+    out = smat_zero(len(a), len(b[0]))
+    for row_a, row_out in zip(a, out):
+        for x, row_b in zip(row_a, rows_b):
+            if is_exact_zero(x):
+                continue
+            for j, y in row_b:
+                acc = row_out[j]
+                row_out[j] = x * y if is_exact_zero(acc) else acc + x * y
     return out
 
 

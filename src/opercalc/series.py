@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InsufficientTruncationError, PreconditionError
@@ -102,6 +103,27 @@ def unit_power(eps: Sequence, e: Fraction, zero, one) -> list:
                 acc = acc + x * y * w
         g.append(acc * Fraction(1, q * k))
     return g
+
+
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list:
+    """The first n coefficients of the product of two coefficient lists.
+
+    Each factor is scaled to Python ints over the lcm of its denominators (the
+    layout of FLINT's fmpq_poly), so the inner loop is integer arithmetic and
+    only one Fraction is normalized per output coefficient.
+    """
+    a, b = a[:n], b[:n]
+    da = lcm(*[c.denominator for c in a])
+    db = lcm(*[c.denominator for c in b])
+    ib = [c.numerator * (db // c.denominator) for c in b]
+    out = [0] * n
+    for i, c in enumerate(a):
+        x = c.numerator * (da // c.denominator)
+        if x:
+            for k, y in enumerate(ib[: n - i], i):
+                out[k] += x * y
+    d = da * db
+    return [Fraction(c, d) for c in out]
 
 
 class LaurentSeries:
@@ -254,15 +276,7 @@ class LaurentSeries:
         hi = self.val + len(self.coeffs) + other.val + len(other.coeffs)
         if t is not None:
             hi = min(hi, t)
-        out = [Fraction(0)] * max(0, hi - lo)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k < len(out):
-                    out[k] += a * b
-        return LaurentSeries(lo, out, t)
+        return LaurentSeries(lo, _convolve(self.coeffs, other.coeffs, max(0, hi - lo)), t)
 
     __rmul__ = __mul__
 

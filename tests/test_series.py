@@ -1,5 +1,6 @@
 """Series arithmetic: normalization, certified truncation orders, exactness."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -103,6 +104,60 @@ class TestAddMul:
     def test_int_pow(self):
         assert (1 + Z) ** 3 == S({0: 1, 1: 3, 2: 3, 3: 1})
         assert (Z**-2) == LaurentSeries.monomial(1, -2)
+
+
+def naive_product(a, b):
+    """(val, coeffs, trunc) of a * b by a Fraction double loop over the terms."""
+    if (not a.coeffs and a.trunc is None) or (not b.coeffs and b.trunc is None):
+        return 0, (), None
+    terms = {}
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            k = a.val + i + b.val + j
+            terms[k] = terms.get(k, F(0)) + x * y
+    orders = [t + v for t, v in ((a.trunc, b.val), (b.trunc, a.val)) if t is not None]
+    t = min(orders) if orders else None
+    nonzero = sorted(k for k, c in terms.items() if c != 0 and (t is None or k < t))
+    if not nonzero:
+        return (0 if t is None else t), (), t
+    lo = nonzero[0]
+    hi = nonzero[-1] + 1 if t is None else t
+    return lo, tuple(terms.get(k, F(0)) for k in range(lo, hi)), t
+
+
+def seeded_series(rng):
+    kind = rng.random()
+    if kind < 0.1:
+        return LaurentSeries.zero()
+    if kind < 0.2:
+        return LaurentSeries.zero(rng.randint(-5, 8))
+    val = rng.randint(-5, 5)
+    n = rng.randint(1, 7)
+    cs = [F(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.75 else F(0)
+          for _ in range(n)]
+    trunc = None if rng.random() < 0.4 else val + rng.randint(0, n + 2)
+    return LaurentSeries(val, cs, trunc)
+
+
+class TestProductOracle:
+    def test_matches_naive_double_loop(self):
+        rng = random.Random(4)
+        cut = 0
+        for _ in range(3000):
+            a, b = seeded_series(rng), seeded_series(rng)
+            p = a * b
+            assert (p.val, p.coeffs, p.trunc) == naive_product(a, b), (a, b)
+            assert (p.val, p.coeffs, p.trunc) == naive_product(b, a)
+            if p.trunc is not None and p.trunc < a.val + b.val + len(a.coeffs) + len(b.coeffs) - 1:
+                cut += 1
+        assert cut > 100  # many products lose terms past their certified order
+
+    def test_shared_denominators(self):
+        a = S({-1: F(1, 6), 0: F(-3, 4), 2: F(5, 9)})
+        b = S({1: F(2, 15), 2: F(7, 10)}, trunc=4)
+        p = a * b
+        assert (p.val, p.coeffs, p.trunc) == naive_product(a, b)
+        assert p.coeff(0) == F(1, 6) * F(2, 15)
 
 
 class TestDivision:
