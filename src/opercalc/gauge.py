@@ -33,12 +33,14 @@ from .errors import (
 from .lie import LieModel, invariants
 from .matrices import (
     SeriesMatrix,
+    is_exact_zero,
     smat_add,
     smat_agrees,
     smat_combine,
     smat_comm,
     smat_derivative,
     smat_identity,
+    smat_is_exact_zero,
     smat_is_zero,
     smat_mul,
     smat_scale,
@@ -88,9 +90,12 @@ class GaugeElement:
                 raise PreconditionError(f"no simple root with index {r}")
             if c.is_zero():
                 raise PreconditionError("torus coordinate with no certified leading term")
+        N = self.model.N
         for i, u in enumerate(self.steps):
-            parts = self.model.grade_parts(u)
-            if any(d != i + 1 for d in parts):
+            # off degree i+1 a step is exactly 0; a truncated zero there would
+            # keep e^{-ad u} from reaching an exactly vanishing term
+            if not all(is_exact_zero(u[a][b]) for a in range(N) for b in range(N)
+                       if self.model.grade(a, b) != i + 1):
                 raise PreconditionError(f"step {i + 1} is not homogeneous of degree {i + 1}")
             if not self.model.in_model(u):
                 raise PreconditionError(f"step {i + 1} violates the algebra constraints")
@@ -150,8 +155,8 @@ class CanonicalForm:
 # -- the gauge action -----------------------------------------------------------
 
 
-def _torus_powers(model: LieModel, torus: Dict[int, LaurentSeries]):
-    """Per-root powers c^k needed positionwise, computed once."""
+def _torus_powers(model: LieModel, torus: Dict[int, LaurentSeries], trunc: Optional[int]):
+    """Per-root powers c^k needed positionwise, computed once; c^-1 to order `trunc`."""
     cache: Dict[Tuple[int, int], LaurentSeries] = {}
 
     def power(r: int, k: int) -> LaurentSeries:
@@ -159,21 +164,21 @@ def _torus_powers(model: LieModel, torus: Dict[int, LaurentSeries]):
             return ONE
         if (r, k) not in cache:
             c = torus.get(r, ONE)
-            cache[(r, k)] = c**k if k > 0 else c.inverse() ** (-k)
+            cache[(r, k)] = c**k if k > 0 else c.inverse(trunc=trunc) ** (-k)
         return cache[(r, k)]
 
     return power
 
 
 def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: SeriesMatrix,
-                     sign: int) -> SeriesMatrix:
+                     sign: int, trunc: Optional[int] = None) -> SeriesMatrix:
     """Entrywise adjoint action of the torus element, with exponent sign*m."""
-    power = _torus_powers(model, torus)
+    power = _torus_powers(model, torus, trunc)
     out = smat_zero(model.N)
     for i in range(model.N):
         for j in range(model.N):
             s = w[i][j]
-            if s.is_zero():
+            if is_exact_zero(s):
                 continue
             for r, m in enumerate(model.root_coords(i, j)):
                 if m and (r in torus):
@@ -183,11 +188,11 @@ def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: Series
 
 
 def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries], q: SeriesMatrix,
-                 planck: Fraction, deriv: LaurentSeries) -> SeriesMatrix:
-    out = _scale_positions(model, torus, q, -1)
+                 planck: Fraction, deriv: LaurentSeries, trunc: Optional[int]) -> SeriesMatrix:
+    out = _scale_positions(model, torus, q, -1, trunc)
     if planck != 0:
         for r, c in torus.items():
-            rate = c.derivative() * c.inverse()
+            rate = c.derivative() * c.inverse(trunc=trunc)
             if rate.is_zero():
                 continue
             term = planck * deriv * rate
@@ -200,7 +205,8 @@ def _nilpotent_sum(start: SeriesMatrix, step: Callable[[SeriesMatrix], SeriesMat
                    coeff: Callable[[int], Fraction], limit: int) -> SeriesMatrix:
     """start + t_1 + t_2 + ... with t_0 = start, t_k = coeff(k) * step(t_{k-1}).
 
-    The step is nilpotent, so the sum stops at the first vanishing term;
+    The step is nilpotent, so the sum stops at the first exactly vanishing
+    term (a truncated zero still certifies an order and is added);
     `limit` bounds the number of terms tried.
     """
     total = term = start
@@ -209,7 +215,7 @@ def _nilpotent_sum(start: SeriesMatrix, step: Callable[[SeriesMatrix], SeriesMat
         c = coeff(k)
         if c != 1:
             term = smat_scale(c, term)
-        if smat_is_zero(term):
+        if smat_is_exact_zero(term):
             return total
         total = smat_add(total, term)
     raise AssertionError("nilpotent sum failed to terminate")
@@ -230,23 +236,27 @@ def _apply_step(model: LieModel, u: SeriesMatrix, q: SeriesMatrix,
     out = _exp_neg_ad(model, u, q)
     if planck != 0:
         du = smat_derivative(u)
-        if not smat_is_zero(du):
+        if not smat_is_exact_zero(du):
             out = smat_add(out, smat_scale(planck * deriv, _phi_neg_ad(model, u, du)))
     return out
 
 
-def gauge_apply(conn: OperConnection, b: GaugeElement,
-                deriv: Optional[LaurentSeries] = None) -> OperConnection:
-    """Act on the connection; `deriv` replaces d/dz by deriv * d/dz."""
+def gauge_apply(conn: OperConnection, b: GaugeElement, deriv: Optional[LaurentSeries] = None,
+                trunc: Optional[int] = None) -> OperConnection:
+    """Act on the connection; `deriv` replaces d/dz by deriv * d/dz.
+
+    `trunc` bounds the inverses of torus coordinates, which an exact
+    non-monomial coordinate needs.
+    """
     if b.model != conn.model:
         raise PreconditionError("gauge element belongs to a different model")
     b.validate()
     f = ONE if deriv is None else deriv
     q = conn.q
     if b.torus:
-        q = _apply_torus(conn.model, b.torus, q, conn.planck, f)
+        q = _apply_torus(conn.model, b.torus, q, conn.planck, f, trunc)
     for u in b.steps:
-        if not smat_is_zero(u):
+        if not smat_is_exact_zero(u):
             q = _apply_step(conn.model, u, q, conn.planck, f)
     return OperConnection(conn.model, conn.planck, q)
 
@@ -262,7 +272,7 @@ def _mat_exp(model: LieModel, u: SeriesMatrix) -> SeriesMatrix:
 def _unipotent_matrix(b: GaugeElement) -> SeriesMatrix:
     w = smat_identity(b.model.N)
     for u in b.steps:
-        if not smat_is_zero(u):
+        if not smat_is_exact_zero(u):
             w = smat_mul(w, _mat_exp(b.model, u))
     return w
 
@@ -277,7 +287,7 @@ def steps_from_unipotent(model: LieModel, w: SeriesMatrix) -> List[SeriesMatrix]
     for d in range(1, model.dmax + 1):
         u = smat_combine(model.coords(d, w), model.graded_basis(d))
         steps.append(u)
-        if not smat_is_zero(u):
+        if not smat_is_exact_zero(u):
             w = smat_mul(_mat_exp(model, smat_scale(-1, u)), w)
     if not smat_is_zero(smat_sub(w, smat_identity(model.N))):
         raise PreconditionError("matrix is not in the unipotent group of the model")
@@ -288,6 +298,8 @@ def gauge_compose(b1: GaugeElement, b2: GaugeElement) -> GaugeElement:
     """The element acting like b1 followed by b2 (the product b1*b2)."""
     if b1.model != b2.model:
         raise PreconditionError("gauge elements belong to different models")
+    b1.validate()
+    b2.validate()
     model = b1.model
     torus: Dict[int, LaurentSeries] = {}
     for r in range(model.rank):
@@ -304,6 +316,7 @@ def gauge_compose(b1: GaugeElement, b2: GaugeElement) -> GaugeElement:
 
 
 def gauge_inverse(b: GaugeElement, trunc: Optional[int] = None) -> GaugeElement:
+    b.validate()
     model = b.model
     torus = {r: c.inverse(trunc=trunc) for r, c in b.torus.items()}
     w = _unipotent_matrix(b)
@@ -347,7 +360,7 @@ def normalize(conn: OperConnection, trunc: Optional[int] = None,
         if not (c.is_exact() and c == ONE):
             torus[r] = c
     if torus:
-        q = _apply_torus(model, torus, q, conn.planck, f)
+        q = _apply_torus(model, torus, q, conn.planck, f, trunc)
     steps: List[SeriesMatrix] = []
     vout: List[LaurentSeries] = []
     for r in range(1, model.dmax + 2):
@@ -356,7 +369,7 @@ def normalize(conn: OperConnection, trunc: Optional[int] = None,
         if r <= model.dmax:
             u = smat_scale(-1, z)
             steps.append(u)
-            if not smat_is_zero(u):
+            if not smat_is_exact_zero(u):
                 q = _apply_step(model, u, q, conn.planck, f)
         elif not smat_is_zero(z):
             raise AssertionError("defect left above the top exponent")
@@ -398,7 +411,7 @@ def desingularize(f: LaurentSeries, cf: CanonicalForm,
     torus = {r: f for r in range(model.rank)}
     rate = f.derivative() * finv
     u1 = smat_combine([rate * Fraction(h, 2)], [model.x])
-    out = gauge_apply(conn, GaugeElement(model, torus, [u1])).q
+    out = gauge_apply(conn, GaugeElement(model, torus, [u1]), trunc=trunc).q
     if not all(
         s.agrees(LaurentSeries.constant(k))
         for s, k in zip(model.subdiagonal_coords(out), model.y_coeffs)

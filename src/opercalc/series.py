@@ -113,6 +113,8 @@ def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list:
     only one Fraction is normalized per output coefficient.
     """
     a, b = a[:n], b[:n]
+    # lists, not generators: unpacking a generator builds and resizes a tuple
+    # per call, and the freed tuples pile up in CPython's free lists (peak RSS)
     da = lcm(*[c.denominator for c in a])
     db = lcm(*[c.denominator for c in b])
     ib = [c.numerator * (db // c.denominator) for c in b]

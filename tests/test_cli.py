@@ -13,7 +13,13 @@ import pytest
 from opercalc import cli
 from opercalc import serialize as ser
 from opercalc.diffops import DiffOp, transpose
-from opercalc.gauge import CanonicalForm, GaugeElement, OperConnection, gauge_apply
+from opercalc.gauge import (
+    CanonicalForm,
+    GaugeElement,
+    OperConnection,
+    desingularize_componentwise,
+    gauge_apply,
+)
 from opercalc.lie import model
 from opercalc.series import Density, LaurentSeries
 
@@ -91,6 +97,20 @@ class TestNormalize:
         assert "c.canonical.json (certified order: 5)" in out
         cf = ser.canonical_load(json.loads((tmp_path / "c.canonical.json").read_text()))
         assert cf.v[0].series == LaurentSeries.zero(5)
+
+
+class TestDesingularize:
+    def test_exact_non_monomial_scaling_with_trunc(self, tmp_path, capsys):
+        cf = CanonicalForm(model("A", 1), F(1), (Density(U, 2),))
+        src = write(tmp_path / "cf.json", ser.canonical_obj(cf))
+        f = LaurentSeries.from_terms({1: 1, 2: 3})
+        fsrc = write(tmp_path / "f.json", ser.series_obj(f))
+        code, out, err = run(["desingularize", fsrc, src, "--trunc", 10], capsys)
+        assert code == 0 and err == ""
+        got = ser.canonical_load(
+            json.loads((tmp_path / "cf.desingularized.json").read_text()))
+        assert got.agrees(desingularize_componentwise(f, cf, trunc=10))
+        assert got.v[0].series.trunc == 9
 
 
 class TestConvert:

@@ -128,6 +128,16 @@ class TestAction:
         assert out.q[1][0] == ONE
         assert out.q[0][1] == w + a * a + a.derivative()
 
+    def test_truncated_zero_step_is_applied(self):
+        # the step O(z^4) x is unknown from order 4 on, and so is its action
+        sl2 = model("A", 1)
+        conn = OperConnection(sl2, F(1), smat_from_frac(sl2.y))
+        u = smat_combine([LaurentSeries.zero(4)], [sl2.x])
+        out = gauge_apply(conn, GaugeElement(sl2, {}, [u])).q
+        assert out[0][0] == out[1][1] == LaurentSeries.zero(4)
+        assert out[0][1] == LaurentSeries.zero(3)
+        assert out[1][0] == ONE
+
     def test_torus_scaling_sl2(self):
         sl2 = model("A", 1)
         v = LaurentSeries.from_terms({0: 3, 2: 5})
@@ -180,6 +190,22 @@ class TestAction:
         bad = GaugeElement(sl2, {}, [[[ZERO, ZERO], [ONE, ZERO]]])
         with pytest.raises(PreconditionError):
             bad.validate()
+
+    @pytest.mark.parametrize("pos", [(0, 0), (1, 0)])
+    def test_truncated_zero_off_degree_is_inhomogeneous(self, pos):
+        # O(z^5) off degree 1 is not exactly 0, so the step has no last term
+        sl2 = model("A", 1)
+        u = [[ZERO, Z], [ZERO, ZERO]]
+        u[pos[0]][pos[1]] = LaurentSeries.zero(5)
+        if pos == (0, 0):
+            u[1][1] = LaurentSeries.zero(5)
+        bad = GaugeElement(sl2, {}, [u])
+        conn = OperConnection(sl2, F(1), smat_from_frac(sl2.y))
+        for call in (lambda: gauge_apply(conn, bad), lambda: gauge_inverse(bad),
+                     lambda: gauge_compose(bad, identity_gauge(sl2)),
+                     lambda: gauge_compose(identity_gauge(sl2), bad)):
+            with pytest.raises(PreconditionError, match="not homogeneous"):
+                call()
 
     def test_validate_rejects_unknown_root(self):
         sl2 = model("A", 1)
@@ -267,11 +293,21 @@ class TestNormalize:
 
     @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("D", 3)])
     def test_truncated_zero_keeps_its_order(self, family, rank):
-        # y + O(z^5) x: the degree-1 coordinate is unknown from order 5 on
+        # y + O(z^5) x: the degree-1 coordinate is unknown from order 5 on,
+        # also after the torus step that rescales 2y to y
         m = model(family, rank)
+        for scale in (1, 2):
+            q = smat_combine([LaurentSeries.constant(scale), LaurentSeries.zero(5)], [m.y, m.x])
+            _, cf = normalize(OperConnection(m, F(1), q))
+            assert cf.v[0].series == LaurentSeries.zero(5), scale
+
+    def test_truncated_zero_step_is_not_skipped(self):
+        # the degree-1 step of B:2 y + O(z^5) x is O(z^5); its derivative term
+        # leaves v_3 unknown from order 3 on
+        m = model("B", 2)
         q = smat_combine([ONE, LaurentSeries.zero(5)], [m.y, m.x])
         _, cf = normalize(OperConnection(m, F(1), q))
-        assert cf.v[0].series == LaurentSeries.zero(5)
+        assert cf.v[1].series == LaurentSeries.zero(3)
 
     def test_rejects_low_grade(self):
         sl3 = model("A", 2)
@@ -390,6 +426,20 @@ class TestSingularPoints:
             a = desingularize(f, cf, trunc=12)
             b = desingularize_componentwise(f, cf, trunc=12)
             assert a.agrees(b), (family, rank)
+
+    @pytest.mark.parametrize("family,rank,orders", [
+        ("A", 1, [9]), ("A", 3, [9, 8, 7]), ("B", 2, [9, 7]), ("C", 2, [9, 7]),
+        ("D", 4, [9, 7, 7, 5]),
+    ])
+    def test_exact_non_monomial_scaling_uses_trunc(self, family, rank, orders):
+        # the inverse of the exact f = z + 3z^2 exists only to a given order
+        rng = random.Random(f"f-inverse {family}:{rank}")
+        m = model(family, rank)
+        f = LaurentSeries.from_terms({1: 1, 2: 3})
+        cf = rnd_canonical(rng, m, F(1))
+        out = desingularize(f, cf, trunc=10)
+        assert out.agrees(desingularize_componentwise(f, cf, trunc=10))
+        assert [dens.series.trunc for dens in out.v] == orders
 
     def test_planck_zero_is_plain_rescaling(self):
         rng = random.Random(32)
