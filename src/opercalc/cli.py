@@ -4,7 +4,9 @@ Every command reads the formats defined in ``serialize``, dispatches to the
 library, writes deterministic files (sorted keys, embedded version and basis
 fingerprints) and states the certified order of what it wrote.  Exit codes:
 0 success, 1 malformed input, 2 violated precondition (including the oper
-conditions), 3 insufficient truncation, 4 failed identity check.  Errors are
+conditions), 3 insufficient truncation, 4 failed identity check, 5 internal
+error (an ``AssertionError`` or ``ZeroDivisionError`` raised inside the
+library: a defect to report, not a verdict on the input).  Errors are
 reported as a single machine-parseable line on the standard error stream.
 
 The truncation flag is a fallback resource, not an output format: each
@@ -344,9 +346,9 @@ def cmd_hitchin(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    m = parse_algebra(args.algebra)
-    total, rows = moduli_dimension(m, args.genus, args.twist)
-    print(f"algebra {m.describe()} genus {args.genus} twist {args.twist}")
+    algebra = parse_algebra(args.algebra)
+    total, rows = moduli_dimension(algebra, args.genus, args.twist)
+    print(f"algebra {algebra.describe()} genus {args.genus} twist {args.twist}")
     for d, k, dim in rows:
         print(f"d={d} k={k} dim={dim}")
     print(f"total {total}")
@@ -523,6 +525,15 @@ _EXIT_CODES = (
 )
 
 
+INTERNAL_ERROR = 5
+
+
+def _report(code: int, e: Exception) -> int:
+    msg = str(e).replace('"', "'")
+    sys.stderr.write(f'operctl: code={code} kind={type(e).__name__} msg="{msg}"\n')
+    return code
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -533,9 +544,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 break
         else:  # pragma: no cover - base-class fallback
             code = 1
-        msg = str(e).replace('"', "'")
-        sys.stderr.write(f'operctl: code={code} kind={type(e).__name__} msg="{msg}"\n')
-        return code
+        return _report(code, e)
+    except (AssertionError, ZeroDivisionError) as e:
+        return _report(INTERNAL_ERROR, e)
 
 
 if __name__ == "__main__":  # pragma: no cover

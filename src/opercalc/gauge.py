@@ -23,14 +23,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import ceil
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     IdentityCheckError,
     NotAnOperError,
     PreconditionError,
 )
-from .lie import LieModel, invariants
+from .lie import AlgebraType, LieModel, invariants
 from .matrices import (
     SeriesMatrix,
     is_exact_zero,
@@ -405,13 +405,23 @@ def desingularize(f: LaurentSeries, cf: CanonicalForm,
         raise PreconditionError("cannot desingularize by an identically zero series")
     model = cf.model
     h = cf.planck
-    finv = f.inverse(trunc=trunc)
+    tinv = None
+    if trunc is not None:
+        # A degree-d output multiplies up to d + 1 factors f^-1 or f'/f (one
+        # from the scaling below, d from the torus), each costing up to
+        # max(val f, 1) orders, and the step differentiates f'/f once more.
+        # The terms that cancel there do not start at val v_d, so the inverse
+        # also reaches val v_d further (capped at trunc), as the componentwise
+        # form v_d f^(-d-1) does.
+        lift = min(max([0] + [d.series.val for d in cf.v]), max(trunc, 0))
+        tinv = trunc + 1 + lift + (model.dmax + 1) * max(f.val, 1)
+    finv = f.inverse(trunc=tinv)
     q = smat_scale(finv, cf.matrix())
     conn = OperConnection(model, h, q)
     torus = {r: f for r in range(model.rank)}
     rate = f.derivative() * finv
     u1 = smat_combine([rate * Fraction(h, 2)], [model.x])
-    out = gauge_apply(conn, GaugeElement(model, torus, [u1]), trunc=trunc).q
+    out = gauge_apply(conn, GaugeElement(model, torus, [u1]), trunc=tinv).q
     if not all(
         s.agrees(LaurentSeries.constant(k))
         for s, k in zip(model.subdiagonal_coords(out), model.y_coeffs)
@@ -510,10 +520,12 @@ def hitchin_map(cf: CanonicalForm) -> List[Density]:
     return [Density(s, Fraction(k)) for k, s in invariants(cf.model, cf.matrix())]
 
 
-def moduli_dimension(model: LieModel, genus: int, deg_twist: int) -> Tuple[int, List[Tuple[int, int, int]]]:
+def moduli_dimension(model: Union[LieModel, AlgebraType], genus: int,
+                     deg_twist: int) -> Tuple[int, List[Tuple[int, int, int]]]:
     """Global parameter count: sum over exponents d of dim H^0(Omega^{d+1}((d+1)D)).
 
-    Returns the total and rows (exponent, k, contribution).
+    Only the exponents are read, so an :class:`AlgebraType` serves without a
+    model.  Returns the total and rows (exponent, k, contribution).
     """
     if genus < 0 or deg_twist < 0:
         raise PreconditionError("genus and twist degree must be nonnegative")

@@ -12,6 +12,7 @@ ad(y) plus a pinned complement are all computed exactly and cached.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -39,6 +40,42 @@ from .series import LaurentSeries
 FAMILIES = ("A", "B", "C", "D")
 
 
+@dataclass(frozen=True)
+class AlgebraType:
+    """A family letter and a rank, with what follows from them alone.
+
+    Building a :class:`LieModel` takes exact elimination over N x N
+    matrices; the matrix size, the exponents and the name need none of it.
+    ``model(t.family, t.rank)`` builds the model of a type ``t``.
+    """
+
+    family: str
+    rank: int
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise MalformedInputError(f"unknown family {self.family!r}")
+        if self.rank < 1 or (self.family == "D" and self.rank < 2):
+            raise MalformedInputError(f"rank {self.rank} out of range for family {self.family}")
+
+    @property
+    def N(self) -> int:
+        r = self.rank
+        return {"A": r + 1, "B": 2 * r + 1, "C": 2 * r, "D": 2 * r}[self.family]
+
+    @property
+    def exponents(self) -> List[int]:
+        r = self.rank
+        if self.family == "A":
+            return list(range(1, r + 1))
+        if self.family in ("B", "C"):
+            return [2 * i - 1 for i in range(1, r + 1)]
+        return sorted([2 * i - 1 for i in range(1, r)] + [r - 1])
+
+    def describe(self) -> str:
+        return {"A": "sl", "B": "so", "C": "sp", "D": "so"}[self.family] + f"({self.N})"
+
+
 def _unit(n: int, i: int, j: int) -> FracMatrix:
     return tuple(
         tuple(Fraction(1) if (a, b) == (i, j) else Fraction(0) for b in range(n))
@@ -53,14 +90,10 @@ class LieModel:
     """
 
     def __init__(self, family: str, rank: int):
-        if family not in FAMILIES:
-            raise MalformedInputError(f"unknown family {family!r}")
-        if rank < 1 or (family == "D" and rank < 2):
-            raise MalformedInputError(f"rank {rank} out of range for family {family}")
+        self.type = AlgebraType(family, rank)
         self.family = family
         self.rank = rank
-        self.N = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}[family]
-        N = self.N
+        self.N = N = self.type.N
 
         if family == "A":
             self.J: Optional[FracMatrix] = None
@@ -83,12 +116,7 @@ class LieModel:
             tuple(self.hdiag[i] if i == j else Fraction(0) for j in range(N)) for i in range(N)
         )
 
-        if family == "A":
-            self.exponents = list(range(1, rank + 1))
-        elif family in ("B", "C"):
-            self.exponents = [2 * i - 1 for i in range(1, rank + 1)]
-        else:
-            self.exponents = sorted([2 * i - 1 for i in range(1, rank)] + [rank - 1])
+        self.exponents = self.type.exponents
         self.dmax = max(self.exponents)
 
         self._init_root_vectors()
@@ -364,7 +392,7 @@ class LieModel:
         return f"{self.family}:{self.rank}"
 
     def describe(self) -> str:
-        return {"A": "sl", "B": "so", "C": "sp", "D": "so"}[self.family] + f"({self.N})"
+        return self.type.describe()
 
     def vbasis_fingerprint(self) -> str:
         """Digest pinning the complement bases used in normal forms."""
@@ -431,7 +459,7 @@ def model(family: str, rank: int) -> LieModel:
     return _MODELS[key]
 
 
-def parse_algebra(text: str) -> LieModel:
+def parse_algebra(text: str) -> AlgebraType:
     """Accept 'A:2' style names and 'sl:3' / 'so:5' / 'sp:4' aliases."""
     try:
         kind, _, num = text.partition(":")
@@ -440,19 +468,19 @@ def parse_algebra(text: str) -> LieModel:
         raise MalformedInputError(f"cannot parse algebra {text!r}")
     kind = kind.strip()
     if kind in FAMILIES:
-        return model(kind, n)
+        return AlgebraType(kind, n)
     if kind == "sl":
         if n < 2:
             raise MalformedInputError("sl needs size >= 2")
-        return model("A", n - 1)
+        return AlgebraType("A", n - 1)
     if kind == "sp":
         if n < 2 or n % 2:
             raise MalformedInputError("sp needs even size >= 2")
-        return model("C", n // 2)
+        return AlgebraType("C", n // 2)
     if kind == "so":
         if n >= 3 and n % 2 == 1:
-            return model("B", (n - 1) // 2)
+            return AlgebraType("B", (n - 1) // 2)
         if n >= 4 and n % 2 == 0:
-            return model("D", n // 2)
+            return AlgebraType("D", n // 2)
         raise MalformedInputError("so needs size >= 3")
     raise MalformedInputError(f"unknown algebra kind {kind!r}")

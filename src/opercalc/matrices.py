@@ -143,7 +143,7 @@ def is_exact_zero(x: LaurentSeries) -> bool:
     A truncated zero O(z^k) is not exact; it must still take part in products
     and sums, because its order bounds what the result certifies.
     """
-    return not x.coeffs and x.trunc is None
+    return not x.nums and x.trunc is None
 
 
 def smat_is_exact_zero(a: SeriesMatrix) -> bool:

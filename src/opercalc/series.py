@@ -8,15 +8,23 @@ products and quotients) and never rounds silently; operations that would need
 infinitely many terms of exact input take an explicit ``trunc`` argument and
 raise ``InsufficientTruncationError`` without one.
 
-No floating point is used anywhere: coefficients are ``fractions.Fraction``.
+No floating point is used anywhere.  The coefficients are stored as Python
+ints ``nums`` over one positive common denominator ``den`` (the layout of
+FLINT's fmpq_poly), in one canonical form: ``gcd(den, *nums) == 1``, no
+leading zero, no stored trailing zero (the certified zeros up to ``trunc``
+are implicit) and ``den == 1`` when ``nums`` is empty.  Arithmetic works on
+these ints; ``coeffs`` is a read-only view of the coefficients as
+``fractions.Fraction``, zero-padded up to ``trunc``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 from .errors import InsufficientTruncationError, PreconditionError
 
@@ -105,55 +113,78 @@ def unit_power(eps: Sequence, e: Fraction, zero, one) -> list:
     return g
 
 
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list:
-    """The first n coefficients of the product of two coefficient lists.
-
-    Each factor is scaled to Python ints over the lcm of its denominators (the
-    layout of FLINT's fmpq_poly), so the inner loop is integer arithmetic and
-    only one Fraction is normalized per output coefficient.
-    """
-    a, b = a[:n], b[:n]
-    # lists, not generators: unpacking a generator builds and resizes a tuple
-    # per call, and the freed tuples pile up in CPython's free lists (peak RSS)
-    da = lcm(*[c.denominator for c in a])
-    db = lcm(*[c.denominator for c in b])
-    ib = [c.numerator * (db // c.denominator) for c in b]
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
+    """The first n coefficients of the product of two integer coefficient lists."""
     out = [0] * n
-    for i, c in enumerate(a):
-        x = c.numerator * (da // c.denominator)
+    b = b[:n]
+    for i, x in enumerate(a[:n]):
         if x:
-            for k, y in enumerate(ib[: n - i], i):
-                out[k] += x * y
-    d = da * db
-    return [Fraction(c, d) for c in out]
+            j = i + len(b)
+            out[i:j] = map(add, out[i:j], map(mul, b[: n - i], repeat(x)))
+    return out
+
+
+def _inverse_nums(a: Sequence[int], n: int):
+    """(nums, den) of the first n coefficients of 1 / (sum a_j x^j), a_0 != 0.
+
+    The fraction-free recurrence (Knuth, TAOCP vol. 2, section 4.7): the
+    inverse is sum_k B_k x^k / a_0^(k+1) with B_0 = 1 and
+
+        B_k = -sum_{j=1..k} a_j a_0^(j-1) B_{k-j},
+
+    so only integers are multiplied; the result is brought over a_0^n.
+    """
+    a0 = a[0]
+    pw = [1]
+    for _ in range(n - 1):
+        pw.append(pw[-1] * a0)
+    c = list(map(mul, a[1:n], pw))  # c_j = a_j a_0^(j-1), j = 1..n-1
+    bs = [1]
+    for k in range(1, n):
+        bs.append(-sum(map(mul, c[:k], reversed(bs))))
+    den = pw[-1] * a0
+    nums = list(map(mul, bs, reversed(pw)))
+    return (nums, den) if den > 0 else ([-x for x in nums], -den)
 
 
 class LaurentSeries:
     """Immutable truncated Laurent series with exact rational coefficients."""
 
-    __slots__ = ("val", "coeffs", "trunc")
+    __slots__ = ("val", "nums", "den", "trunc")
 
     def __init__(self, val: int, coeffs: Iterable[Rat], trunc: Optional[int] = None):
         cs = [_fr(c) for c in coeffs]
-        if trunc is not None:
-            cs = cs[: max(0, trunc - val)]
-            if len(cs) < trunc - val:
-                cs.extend(Fraction(0) for _ in range(trunc - val - len(cs)))
-        # strip leading zeros, raising the valuation
-        if cs and cs[0] == 0:
-            lead = next((i for i, c in enumerate(cs) if c), len(cs))
-            del cs[:lead]
-            val += lead
-        if trunc is None:
-            while cs and cs[-1] == 0:
-                cs.pop()
-            if not cs:
-                val = 0
-        elif not cs:
-            val = trunc
+        # lists, not generators: unpacking a generator builds and resizes a tuple
+        # per call, and the freed tuples pile up in CPython's free lists (peak RSS)
+        den = lcm(*[c.denominator for c in cs])
+        self._fill(val, [c.numerator * (den // c.denominator) for c in cs], den, trunc)
+
+    def _fill(self, val: int, nums: Sequence[int], den: int,
+              trunc: Optional[int]) -> "LaurentSeries":
+        """Store val + nums/den (den > 0) cut at trunc, in canonical form."""
+        if trunc is not None and len(nums) > trunc - val:
+            nums = nums[: max(0, trunc - val)]
+        lo, hi = 0, len(nums)
+        while hi and not nums[hi - 1]:
+            hi -= 1
+        if hi == 0:
+            nums, den = (), 1
+            val = 0 if trunc is None else trunc
+        else:
+            while not nums[lo]:
+                lo += 1
+            if lo or hi < len(nums):
+                nums = nums[lo:hi]
+            val += lo
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
         object.__setattr__(self, "val", val)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "trunc", trunc)
+        return self
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("LaurentSeries is immutable")
@@ -179,23 +210,32 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, trunc: Optional[int] = None) -> "LaurentSeries":
-        return cls(0 if trunc is None else trunc, [], trunc)
+        return _ZERO if trunc is None else _series(trunc, (), 1, trunc)
 
     @classmethod
     def one(cls, trunc: Optional[int] = None) -> "LaurentSeries":
-        return cls.constant(1, trunc)
+        return _series(0, (1,), 1, trunc)
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients from z^val as Fractions, zero-padded up to trunc."""
+        d = self.den
+        cs = tuple([Fraction(x, d) for x in self.nums])
+        if self.trunc is None:
+            return cs
+        return cs + (Fraction(0),) * (self.trunc - self.val - len(cs))
+
     def is_zero(self) -> bool:
         """True when every certified coefficient vanishes."""
-        return not self.coeffs
+        return not self.nums
 
     def is_exact(self) -> bool:
         return self.trunc is None
 
     def is_monomial(self) -> bool:
-        return bool(self.coeffs) and all(c == 0 for c in self.coeffs[1:])
+        return len(self.nums) == 1
 
     def rel_prec(self) -> Optional[int]:
         """Number of certified orders past the valuation (None = exact)."""
@@ -207,23 +247,30 @@ class LaurentSeries:
             raise InsufficientTruncationError(
                 f"coefficient of z^{k} requested but series certified below order {self.trunc}"
             )
-        if k < self.val or k >= self.val + len(self.coeffs):
+        if k < self.val or k >= self.val + len(self.nums):
             return Fraction(0)
-        return self.coeffs[k - self.val]
+        return Fraction(self.nums[k - self.val], self.den)
 
     def leading(self) -> Fraction:
         if self.is_zero():
             raise PreconditionError("zero series has no leading coefficient")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_unit(self) -> bool:
         """Invertible: nonzero constant term, certified."""
         if self.trunc is not None and self.trunc <= 0:
             raise InsufficientTruncationError("constant term not certified")
-        return self.val == 0 and bool(self.coeffs) and self.coeffs[0] != 0
+        return self.val == 0 and bool(self.nums)
 
     def terms(self) -> dict:
-        return {self.val + i: c for i, c in enumerate(self.coeffs) if c != 0}
+        return {self.val + i: Fraction(x, self.den) for i, x in enumerate(self.nums) if x}
+
+    def _aligned(self, lo: int, n: int, f: int) -> List[int]:
+        """The numerators times f in n slots from order lo (lo <= val)."""
+        i = min(self.val - lo, n)
+        xs = self.nums[: n - i]
+        out = [0] * i + (list(xs) if f == 1 else [x * f for x in xs])
+        return out + [0] * (n - len(out))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -232,21 +279,23 @@ class LaurentSeries:
         if other is NotImplemented:
             return NotImplemented
         t = _tmin(self.trunc, other.trunc)
-        if self.is_zero() and self.trunc is None:
+        if not self.nums and self.trunc is None:
             return other.truncate(t)
-        if other.is_zero() and other.trunc is None:
+        if not other.nums and other.trunc is None:
             return self.truncate(t)
         lo = min(self.val, other.val)
-        hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
+        hi = max(self.val + len(self.nums), other.val + len(other.nums))
         if t is not None:
             hi = min(hi, t)
-        cs = [self.coeff(k) + other.coeff(k) if (t is None or k < t) else 0 for k in range(lo, hi)]
-        return LaurentSeries(lo, cs, t)
+        n = max(0, hi - lo)
+        d = lcm(self.den, other.den)
+        out = map(add, self._aligned(lo, n, d // self.den), other._aligned(lo, n, d // other.den))
+        return _series(lo, list(out), d, t)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.val, [-c for c in self.coeffs], self.trunc)
+        return _series(self.val, [-x for x in self.nums], self.den, self.trunc)
 
     def __sub__(self, other) -> "LaurentSeries":
         other = _coerce(other)
@@ -262,23 +311,24 @@ class LaurentSeries:
 
     def __mul__(self, other) -> "LaurentSeries":
         if isinstance(other, (int, Fraction)):
-            c = _fr(other)
-            if c == 0:
-                return LaurentSeries.zero(None)
-            return LaurentSeries(self.val, [c * a for a in self.coeffs], self.trunc)
+            p = other.numerator
+            if p == 0:
+                return LaurentSeries.zero()
+            return _series(self.val, [x * p for x in self.nums], self.den * other.denominator, self.trunc)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if (self.is_zero() and self.trunc is None) or (other.is_zero() and other.trunc is None):
-            return LaurentSeries.zero(None)
+        if (not self.nums and self.trunc is None) or (not other.nums and other.trunc is None):
+            return LaurentSeries.zero()
         ta = None if self.trunc is None else self.trunc + other.val
         tb = None if other.trunc is None else other.trunc + self.val
         t = _tmin(ta, tb)
         lo = self.val + other.val
-        hi = self.val + len(self.coeffs) + other.val + len(other.coeffs)
+        hi = lo + len(self.nums) + len(other.nums) - 1
         if t is not None:
             hi = min(hi, t)
-        return LaurentSeries(lo, _convolve(self.coeffs, other.coeffs, max(0, hi - lo)), t)
+        nums = _convolve(self.nums, other.nums, max(0, hi - lo))
+        return _series(lo, nums, self.den * other.den, t)
 
     __rmul__ = __mul__
 
@@ -290,9 +340,11 @@ class LaurentSeries:
             raise InsufficientTruncationError("divisor has no certified leading coefficient")
         rel = self.rel_prec()
         if self.is_monomial():
+            a0 = self.nums[0]
+            sign = 1 if a0 > 0 else -1
             if rel is None:
-                return LaurentSeries.monomial(1 / self.coeffs[0], -self.val)
-            inv = LaurentSeries.monomial(1 / self.coeffs[0], -self.val, self.trunc - 2 * self.val)
+                return _series(-self.val, (sign * self.den,), abs(a0), None)
+            inv = _series(-self.val, (sign * self.den,), abs(a0), self.trunc - 2 * self.val)
             return inv.truncate(trunc)
         if rel is None:
             if trunc is None:
@@ -302,15 +354,12 @@ class LaurentSeries:
             rel = trunc + self.val  # relative orders needed so result reaches `trunc`
         elif trunc is not None:
             rel = min(rel, trunc + self.val)
-        # recurrence for (sum a_i z^i)^(-1) with i relative to the valuation
-        a = [self.coeff(self.val + i) for i in range(max(rel, 0))]
-        out = []
-        for k in range(max(rel, 0)):
-            s = Fraction(1) if k == 0 else Fraction(0)
-            for j in range(k):
-                s -= out[j] * a[k - j]
-            out.append(s / a[0])
-        return LaurentSeries(-self.val, out, -self.val + max(rel, 0))
+        n = max(rel, 0)
+        if n == 0:
+            return LaurentSeries.zero(-self.val)
+        nums, den = _inverse_nums(self.nums[:n], n)
+        # (nums_self / den_self)^-1 = den_self * (nums_self)^-1
+        return _series(-self.val, [x * self.den for x in nums], den, -self.val + n)
 
     def __truediv__(self, other) -> "LaurentSeries":
         if isinstance(other, (int, Fraction)):
@@ -323,7 +372,7 @@ class LaurentSeries:
     def div(self, other: "LaurentSeries", trunc: Optional[int] = None) -> "LaurentSeries":
         if self.is_zero() and self.trunc is None:
             other.leading()  # raises on zero divisor
-            return LaurentSeries.zero(None)
+            return LaurentSeries.zero()
         res = self * other.inverse(trunc=None if trunc is None else trunc - self.val)
         return res if res.is_exact() else res.truncate(trunc)
 
@@ -332,7 +381,7 @@ class LaurentSeries:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = LaurentSeries.one(None)
+        out = LaurentSeries.one()
         base = self
         while n:
             if n & 1:
@@ -378,7 +427,8 @@ class LaurentSeries:
         if rel <= 0:
             return LaurentSeries.zero(int(ve))
         # self = c0 z^v (1 + eps); result = r0 z^{ve} (1 + eps)^e
-        eps = [self.coeff(self.val + i) / c0 for i in range(1, rel)]
+        eps = [Fraction(x, self.nums[0]) for x in self.nums[1:rel]]
+        eps += [Fraction(0)] * (rel - 1 - len(eps))
         out = unit_power(eps, e, Fraction(0), Fraction(1))
         return LaurentSeries(int(ve), [r0 * c for c in out], int(ve) + rel)
 
@@ -386,18 +436,19 @@ class LaurentSeries:
         return self.power_rational(Fraction(1, 2), trunc)
 
     def derivative(self) -> "LaurentSeries":
-        cs = [(self.val + i) * c for i, c in enumerate(self.coeffs)]
-        return LaurentSeries(self.val - 1, cs, None if self.trunc is None else self.trunc - 1)
+        v = self.val
+        nums = [(v + i) * x for i, x in enumerate(self.nums)]
+        return _series(v - 1, nums, self.den, None if self.trunc is None else self.trunc - 1)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by z^k."""
-        return LaurentSeries(self.val + k, self.coeffs, None if self.trunc is None else self.trunc + k)
+        return _series(self.val + k, self.nums, self.den, None if self.trunc is None else self.trunc + k)
 
     def truncate(self, trunc: Optional[int]) -> "LaurentSeries":
         t = _tmin(self.trunc, trunc)
         if t == self.trunc:
             return self
-        return LaurentSeries(self.val, self.coeffs, t)
+        return _series(self.val, self.nums, self.den, t)
 
     # -- comparison --------------------------------------------------------
 
@@ -406,34 +457,45 @@ class LaurentSeries:
         other = _coerce(other)
         t = _tmin(self.trunc, other.trunc)
         if t is None:
-            return self.val == other.val and self.coeffs == other.coeffs
+            return self.val == other.val and self.nums == other.nums and self.den == other.den
         lo = min(self.val, other.val)
-        return all(self.coeff(k) == other.coeff(k) for k in range(lo, t))
+        n = max(0, t - lo)
+        return self._aligned(lo, n, other.den) == other._aligned(lo, n, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = LaurentSeries.constant(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self.val == other.val and self.coeffs == other.coeffs and self.trunc == other.trunc
+        return (self.val == other.val and self.nums == other.nums and self.den == other.den
+                and self.trunc == other.trunc)
 
     def __hash__(self):
-        return hash((self.val, self.coeffs, self.trunc))
+        return hash((self.val, self.nums, self.den, self.trunc))
 
     def __repr__(self):
         if self.is_zero():
             body = "0"
         else:
             parts = []
-            for i, c in enumerate(self.coeffs):
-                if c == 0:
+            for i, x in enumerate(self.nums):
+                if x == 0:
                     continue
+                c = Fraction(x, self.den)
                 k = self.val + i
                 term = str(c) if k == 0 else (f"{c}*z^{k}" if c != 1 else f"z^{k}")
                 parts.append(term)
             body = " + ".join(parts)
         tail = "" if self.trunc is None else f" + O(z^{self.trunc})"
         return body + tail
+
+
+def _series(val: int, nums: Sequence[int], den: int, trunc: Optional[int]) -> LaurentSeries:
+    """The series val + nums/den cut at trunc: every arithmetic result is built here."""
+    return object.__new__(LaurentSeries)._fill(val, nums, den, trunc)
+
+
+_ZERO = _series(0, (), 1, None)  # immutable, so every exact zero can share it
 
 
 def _coerce(x) -> LaurentSeries:

@@ -6,11 +6,12 @@ file exactly, and every documented exit code is driven through main().
 """
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from opercalc import cli
+from opercalc import cli, lie
 from opercalc import serialize as ser
 from opercalc.diffops import DiffOp, transpose
 from opercalc.gauge import (
@@ -109,8 +110,9 @@ class TestDesingularize:
         assert code == 0 and err == ""
         got = ser.canonical_load(
             json.loads((tmp_path / "cf.desingularized.json").read_text()))
-        assert got.agrees(desingularize_componentwise(f, cf, trunc=10))
-        assert got.v[0].series.trunc == 9
+        cw = desingularize_componentwise(f, cf, trunc=10)
+        assert got.agrees(cw)
+        assert got.v[0].series.trunc >= cw.v[0].series.trunc == 10
 
 
 class TestConvert:
@@ -239,6 +241,20 @@ class TestPairCommands:
         assert got.agrees(hill_op())  # self-adjoint
 
 
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [AssertionError("nilpotent sum failed to terminate"),
+                                     ZeroDivisionError('inverse of the "zero" series')])
+    def test_internal_error_is_one_line_exit_5(self, exc, monkeypatch, capsys):
+        def boom(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_dims", boom)
+        code, out, err = run(["dims", "--algebra", "A:1", "--genus", "2"], capsys)
+        assert code == 5 and out == ""
+        msg = str(exc).replace('"', "'")
+        assert err == f'operctl: code=5 kind={type(exc).__name__} msg="{msg}"\n'
+
+
 class TestTables:
     def test_dims_rows_and_total(self, capsys):
         code, out, _ = run(["dims", "--algebra", "A:2", "--genus", "2"], capsys)
@@ -259,6 +275,16 @@ class TestTables:
     def test_dims_accepts_aliases(self, capsys):
         assert run(["dims", "--algebra", "sl:3", "--genus", "2"], capsys) == \
             run(["dims", "--algebra", "A:2", "--genus", "2"], capsys)
+
+    def test_dims_huge_rank_builds_no_model(self, capsys):
+        # dims needs only the exponents; a model of A:100000 would be N x N data
+        start = time.perf_counter()
+        code, out, _ = run(["dims", "--algebra", "A:100000", "--genus", "2"], capsys)
+        assert code == 0 and time.perf_counter() - start < 20
+        lines = out.splitlines()
+        assert lines[0] == "algebra sl(100001) genus 2 twist 0" and len(lines) == 100002
+        assert lines[-1] == f"total {100000**2 + 2 * 100000}"  # sum of 2d + 1, d = 1..n
+        assert ("A", 100000) not in lie._MODELS
 
     def test_dims_unknown_algebra_exits_1(self, capsys):
         code, out, err = run(["dims", "--algebra", "Q:2", "--genus", "2"], capsys)

@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from opercalc.errors import MalformedInputError
-from opercalc.lie import LieModel, invariants, model, parse_algebra
+from opercalc.lie import AlgebraType, LieModel, invariants, model, parse_algebra
 from opercalc.matrices import (
     fmat_comm,
     fmat_scale,
@@ -236,11 +236,18 @@ class TestInvariants:
 
 class TestParse:
     def test_names(self):
-        assert parse_algebra("A:2") is model("A", 2)
-        assert parse_algebra("sl:3") is model("A", 2)
-        assert parse_algebra("so:5") is model("B", 2)
-        assert parse_algebra("so:6") is model("D", 3)
-        assert parse_algebra("sp:6") is model("C", 3)
+        assert parse_algebra("A:2") == AlgebraType("A", 2)
+        assert parse_algebra("sl:3") == AlgebraType("A", 2)
+        assert parse_algebra("so:5") == AlgebraType("B", 2)
+        assert parse_algebra("so:6") == AlgebraType("D", 3)
+        assert parse_algebra("sp:6") == AlgebraType("C", 3)
+        for (family, rank), want in {
+            ("A", 3): (4, [1, 2, 3], "sl(4)"), ("B", 3): (7, [1, 3, 5], "so(7)"),
+            ("C", 2): (4, [1, 3], "sp(4)"), ("D", 4): (8, [1, 3, 3, 5], "so(8)"),
+            ("D", 2): (4, [1, 1], "so(4)"),
+        }.items():
+            t, m = AlgebraType(family, rank), model(family, rank)
+            assert (t.N, t.exponents, t.describe()) == (m.N, m.exponents, m.describe()) == want
 
     def test_rejects(self):
         for bad in ("E:8", "sl:1", "sp:5", "so:2", "junk", "A:x"):

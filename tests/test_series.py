@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opercalc.errors import InsufficientTruncationError, PreconditionError
 from opercalc.series import Density, LaurentSeries, fraction_root
@@ -300,3 +302,185 @@ class TestDensity:
     def test_scalar_action(self):
         d = 3 * Density(Z, 1)
         assert d.series == LaurentSeries.monomial(3, 1) and d.weight == 1
+
+
+# -- the int-over-denominator representation, against Fraction references -------
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+RATS = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def raw_series(draw, min_len=0):
+    """(val, coeffs, trunc) with zeros anywhere: exact and truncated, zeros included."""
+    val = draw(st.integers(-5, 5))
+    cs = draw(st.lists(RATS, min_size=min_len, max_size=7))
+    trunc = draw(st.one_of(st.none(), st.integers(val - 2, val + len(cs) + 3)))
+    return val, cs, trunc
+
+
+def canon(val, cs, trunc):
+    """(val, coeffs, trunc) as exposed: cut and zero-padded to trunc, zeros stripped."""
+    cs = list(cs)
+    if trunc is not None:
+        cs = cs[: max(0, trunc - val)]
+        cs += [F(0)] * (trunc - val - len(cs))
+    while cs and cs[0] == 0:
+        cs.pop(0)
+        val += 1
+    if trunc is None:
+        while cs and cs[-1] == 0:
+            cs.pop()
+        if not cs:
+            val = 0
+    elif not cs:
+        val = trunc
+    return val, tuple(cs), trunc
+
+
+def build(raw):
+    return LaurentSeries(*raw), canon(*raw)
+
+
+def check(s, ref):
+    """s is in canonical form and shows exactly the reference (val, coeffs, trunc)."""
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    assert all(type(x) is int for x in s.nums)
+    if s.nums:
+        assert s.nums[0] != 0 and s.nums[-1] != 0
+        assert s.trunc is None or s.val + len(s.nums) <= s.trunc
+    else:
+        assert s.den == 1
+    assert (s.val, s.coeffs, s.trunc) == ref
+
+
+def is_exact_zero(r):
+    return not r[1] and r[2] is None
+
+
+def ref_truncate(r, t):
+    val, cs, trunc = r
+    new = t if trunc is None else (trunc if t is None else min(trunc, t))
+    return r if new == trunc else canon(val, cs, new)
+
+
+def ref_add(a, b):
+    ta, tb = a[2], b[2]
+    t = ta if tb is None else (tb if ta is None else min(ta, tb))
+    if is_exact_zero(a):
+        return ref_truncate(b, t)
+    if is_exact_zero(b):
+        return ref_truncate(a, t)
+    terms = {}
+    for val, cs, _ in (a, b):
+        for i, c in enumerate(cs):
+            terms[val + i] = terms.get(val + i, F(0)) + c
+    lo = min(a[0], b[0])
+    hi = max(a[0] + len(a[1]), b[0] + len(b[1]))
+    if t is not None:
+        hi = min(hi, t)
+    return canon(lo, [terms.get(k, F(0)) for k in range(lo, hi)], t)
+
+
+def ref_neg(a):
+    return canon(a[0], [-c for c in a[1]], a[2])
+
+
+def ref_scale(a, c):
+    return (0, (), None) if c == 0 else canon(a[0], [c * x for x in a[1]], a[2])
+
+
+def ref_inverse(a, trunc):
+    """The (val, coeffs, trunc) of a^-1 by the Fraction recurrence a_0 b_k = -sum a_j b_(k-j)."""
+    val, cs, t = a
+    if all(c == 0 for c in cs[1:]):
+        if t is None:
+            return canon(-val, [1 / cs[0]], None)
+        return ref_truncate(canon(-val, [1 / cs[0]], t - 2 * val), trunc)
+    if t is None:
+        rel = trunc + val
+    else:
+        rel = t - val if trunc is None else min(t - val, trunc + val)
+    n = max(rel, 0)
+    a_ = [cs[i] if i < len(cs) else F(0) for i in range(n)]
+    out = []
+    for k in range(n):
+        s = F(1 if k == 0 else 0) - sum((out[j] * a_[k - j] for j in range(k)), F(0))
+        out.append(s / a_[0])
+    return canon(-val, out, -val + n)
+
+
+class TestIntegerRepresentation:
+    @SETTINGS
+    @given(raw_series())
+    def test_constructor_and_coeffs_view(self, raw):
+        s, ref = build(raw)
+        check(s, ref)
+        assert s.terms() == {s.val + i: c for i, c in enumerate(ref[1]) if c}
+
+    @SETTINGS
+    @given(raw_series(), raw_series())
+    def test_sum_difference_negation(self, ra, rb):
+        (a, ra), (b, rb) = build(ra), build(rb)
+        check(a + b, ref_add(ra, rb))
+        check(a - b, ref_add(ra, ref_neg(rb)))
+        check(-a, ref_neg(ra))
+
+    @SETTINGS
+    @given(raw_series(), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+    def test_scalar_product_and_quotient(self, ra, c):
+        a, ra = build(ra)
+        check(a * c, ref_scale(ra, c))
+        check(c * a, ref_scale(ra, c))
+        check(a * c.numerator, ref_scale(ra, F(c.numerator)))
+        if c:
+            check(a / c, ref_scale(ra, 1 / c))
+
+    @SETTINGS
+    @given(raw_series(), raw_series())
+    def test_series_product(self, ra, rb):
+        (a, ra), (b, rb) = build(ra), build(rb)
+        check(a * b, naive_product(a, b))
+
+    @SETTINGS
+    @given(raw_series(min_len=1), st.one_of(st.none(), st.integers(-6, 12)))
+    def test_inverse(self, ra, trunc):
+        a, ra = build(ra)
+        if a.is_zero():
+            with pytest.raises((ZeroDivisionError, InsufficientTruncationError)):
+                a.inverse(trunc)
+        elif a.is_exact() and not a.is_monomial() and trunc is None:
+            with pytest.raises(InsufficientTruncationError):
+                a.inverse(trunc)
+        else:
+            check(a.inverse(trunc), ref_inverse(ra, trunc))
+
+    @SETTINGS
+    @given(raw_series(), st.integers(-4, 4), st.one_of(st.none(), st.integers(-6, 12)))
+    def test_derivative_shift_truncate(self, ra, k, t):
+        a, ra = build(ra)
+        val, cs, trunc = ra
+        check(a.derivative(),
+              canon(val - 1, [(val + i) * c for i, c in enumerate(cs)], None if trunc is None else trunc - 1))
+        check(a.shift(k), canon(val + k, cs, None if trunc is None else trunc + k))
+        check(a.truncate(t), ref_truncate(ra, t))
+
+    @pytest.mark.parametrize("terms", [
+        {0: F(-3, 2), 1: 2, 2: F(-1, 3), 5: F(7, 4)},
+        {0: 5, 1: F(1, 6), 3: -2, 4: F(9, 11)},
+        {-2: F(2, 3), -1: 1, 1: F(-5, 7)},
+    ])
+    def test_inverse_matches_sympy(self, terms):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        v = min(terms)
+        unit = sum(sympy.Rational(c.numerator, c.denominator) * x ** (k - v) for k, c in terms.items())
+        ref = sympy.expand(sympy.series(1 / unit, x, 0, 32).removeO())
+        expected = []
+        for k in range(32):
+            c = ref.coeff(x, k)
+            assert c.is_Rational
+            expected.append(F(int(c.p), int(c.q)))
+        want = LaurentSeries(-v, expected, 32 - v)
+        assert S(terms).inverse(trunc=32 - v) == want
+        assert S(terms, trunc=v + 32).inverse() == want
