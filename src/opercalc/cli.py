@@ -5,9 +5,10 @@ library, writes deterministic files (sorted keys, embedded version and basis
 fingerprints) and states the certified order of what it wrote.  Exit codes:
 0 success, 1 malformed input, 2 violated precondition (including the oper
 conditions), 3 insufficient truncation, 4 failed identity check, 5 internal
-error (an ``AssertionError`` or ``ZeroDivisionError`` raised inside the
-library: a defect to report, not a verdict on the input).  Errors are
-reported as a single machine-parseable line on the standard error stream.
+error (any other exception raised inside the library: a defect to report,
+not a verdict on the input).  Errors are reported as a single
+machine-parseable line on the standard error stream, its message folded onto
+one line and clipped to ``MSG_CAP`` characters.
 
 The truncation flag is a fallback resource, not an output format: each
 command first attempts the computation exactly and re-runs it at the given
@@ -526,10 +527,13 @@ _EXIT_CODES = (
 
 
 INTERNAL_ERROR = 5
+MSG_CAP = 400  # characters of a diagnostic message; the rest is counted, not echoed
 
 
 def _report(code: int, e: Exception) -> int:
-    msg = str(e).replace('"', "'")
+    msg = " ".join(str(e).replace('"', "'").splitlines())
+    if len(msg) > MSG_CAP:
+        msg = f"{msg[:MSG_CAP]}...({len(msg)} chars)"
     sys.stderr.write(f'operctl: code={code} kind={type(e).__name__} msg="{msg}"\n')
     return code
 
@@ -545,7 +549,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:  # pragma: no cover - base-class fallback
             code = 1
         return _report(code, e)
-    except (AssertionError, ZeroDivisionError) as e:
+    except Exception as e:  # a defect; KeyboardInterrupt and SystemExit pass through
         return _report(INTERNAL_ERROR, e)
 
 

@@ -15,7 +15,7 @@ from math import factorial
 from typing import Mapping
 
 from .errors import PreconditionError
-from .series import LaurentSeries, Rat, _fr, _tmin, half_integer, unit_power
+from .series import LaurentSeries, Rat, _fr, _series, _tmin, half_integer, unit_power
 
 
 class BiKernel:
@@ -113,8 +113,9 @@ class BiKernel:
         resp. half-integral; the range width is preserved, i.e. the result is
         taken modulo (z1 - z2)^(e*mmin + width + 1).  With K = c0 D^mmin (1 +
         eps), the coefficients of (1 + eps)^e come from Miller's recurrence
-        (:func:`unit_power`) and are scaled by c0^e; an exact c0 = 1 makes
-        both c0 factors the exact series 1.
+        (:func:`unit_power` with a0 = 1, one division G_k / S_k per
+        coefficient) and are scaled by c0^e; an exact c0 = 1 makes both c0
+        factors the exact series 1.
         """
         e = _fr(e)
         c0 = self.coeff(self.mmin)
@@ -128,11 +129,13 @@ class BiKernel:
         width = self.mmax - self.mmin
         inv0 = c0.inverse()
         eps = [self.coeff(self.mmin + k) * inv0 for k in range(1, width + 1)]
-        out = unit_power(eps, e, LaurentSeries.zero(), LaurentSeries.one())
+        G, S = unit_power(eps, e, LaurentSeries.zero(), LaurentSeries.one())
         lead = c0.power_rational(e)
         base = int(em)
+        # coefficient k of (1 + eps)^e is G_k / S_k: S_k joins the denominator
         return BiKernel(w1, w2, base, base + width,
-                        {base + i: c * lead for i, c in enumerate(out)})
+                        {base + k: _series(g.val, g.nums, g.den * s, g.trunc) * lead
+                         for k, (g, s) in enumerate(zip(G, S))})
 
     def symmetrize_lift(self, parity: int, extra: int) -> "BiKernel":
         """Extend across the diagonal by `extra` orders with a chosen parity.

@@ -21,13 +21,10 @@ from .matrices import (
     FracMatrix,
     SeriesMatrix,
     apply_frac,
-    fmat_add,
+    fmat_combine,
     fmat_comm,
     fmat_inverse,
-    fmat_mul,
-    fmat_scale,
     fmat_transpose,
-    fmat_zero,
     nullspace,
     rref,
     smat_combine,
@@ -103,7 +100,6 @@ class LieModel:
                 tuple(sign(i) if i + j == N - 1 else Fraction(0) for j in range(N))
                 for i in range(N)
             )
-            self._Jinv = fmat_inverse(self.J)
 
         if family == "D":
             half = [Fraction(2 * (rank - i)) for i in range(1, rank + 1)]
@@ -135,9 +131,14 @@ class LieModel:
             return tuple(
                 tuple(X[i][j] - (tr if i == j else 0) for j in range(n)) for i in range(n)
             )
-        theta = fmat_mul(fmat_mul(self._Jinv, fmat_transpose(X)), self.J)
+        # theta = J^-1 X^T J; J is antidiagonal with signs s_i = J[i][N-1-i] = +-1,
+        # so J^-1 = J^T and theta[i][j] = s[N-1-i] s[N-1-j] X[N-1-j][N-1-i]
+        N = self.N
+        s = [self.J[i][N - 1 - i] for i in range(N)]
         return tuple(
-            tuple((X[i][j] - theta[i][j]) / 2 for j in range(self.N)) for i in range(self.N)
+            tuple((X[i][j] - s[N - 1 - i] * s[N - 1 - j] * X[N - 1 - j][N - 1 - i]) / 2
+                  for j in range(N))
+            for i in range(N)
         )
 
     def _simple_classes(self) -> List[Tuple[int, int]]:
@@ -160,10 +161,7 @@ class LieModel:
         self.simple_positions = reps
         self.e_vectors = [self._root_vector(p) for p in reps]
         self.f_vectors = [self._root_vector((j, i)) for (i, j) in reps]
-        x = fmat_zero(self.N)
-        for e in self.e_vectors:
-            x = fmat_add(x, e)
-        self.x = x
+        self.x = fmat_combine([Fraction(1)] * self.rank, self.e_vectors)
         # y = sum c_r f_r with [x, y] = h; only [e_r, f_r] hits the diagonal
         cols = []
         for e, f in zip(self.e_vectors, self.f_vectors):
@@ -173,10 +171,7 @@ class LieModel:
             cols.append([d[i][i] for i in range(self.N)])
         rows = [[cols[r][i] for r in range(self.rank)] for i in range(self.N)]
         coeffs = solve_exact(rows, self.hdiag)
-        y = fmat_zero(self.N)
-        for c, f in zip(coeffs, self.f_vectors):
-            y = fmat_add(y, fmat_scale(c, f))
-        self.y = y
+        self.y = fmat_combine(coeffs, self.f_vectors)
         self.y_coeffs = coeffs
         if fmat_comm(self.x, self.y) != self.h:
             raise AssertionError("principal relations failed")
@@ -310,17 +305,7 @@ class LieModel:
                 if len(pivots) > len(picked):
                     picked.append(v)
             vecs = picked
-        out = []
-        for v in vecs:
-            m = [[Fraction(0)] * self.N for _ in range(self.N)]
-            for c, b in zip(v, basis_d):
-                if c:
-                    for i in range(self.N):
-                        for j in range(self.N):
-                            if b[i][j]:
-                                m[i][j] += c * b[i][j]
-            out.append(tuple(tuple(r) for r in m))
-        return out
+        return [fmat_combine(v, basis_d) for v in vecs]
 
     def kostant_data(self, d: int) -> dict:
         """Inverse of (Z, v) -> [y, Z] + v at degree d, with V = Ker ad x."""

@@ -21,16 +21,8 @@ SeriesMatrix = List[List[LaurentSeries]]
 # -- rational matrices -------------------------------------------------------
 
 
-def fmat_zero(n: int, m: Optional[int] = None) -> FracMatrix:
-    m = n if m is None else m
-    return tuple((Fraction(0),) * m for _ in range(n))
-
-
-def fmat_add(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
 def fmat_sub(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def fmat_scale(c, a: FracMatrix) -> FracMatrix:
@@ -38,12 +30,28 @@ def fmat_scale(c, a: FracMatrix) -> FracMatrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+_ZERO = Fraction(0)
+
+
 def fmat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-              for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    """a * b over the nonzero entries of both; zero output entries share one Fraction."""
+    rows_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row_a in a:
+        acc = [_ZERO] * len(b[0])
+        for x, row_b in zip(row_a, rows_b):
+            if x:
+                for j, y in row_b:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def fmat_combine(coeffs: Sequence[Fraction], mats: Sequence[FracMatrix]) -> FracMatrix:
+    """sum_i coeffs[i] * mats[i], as one row times the flattened matrices."""
+    (flat,) = fmat_mul((tuple(coeffs),), [[x for row in mat for x in row] for mat in mats])
+    m = len(mats[0][0])
+    return tuple(flat[i:i + m] for i in range(0, len(flat), m))
 
 
 def fmat_comm(a: FracMatrix, b: FracMatrix) -> FracMatrix:

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import add, mul
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InsufficientTruncationError, PreconditionError
 
@@ -85,32 +85,43 @@ def fraction_root(c: Fraction, e: Fraction) -> Fraction:
     return (sign * Fraction(rp, rq)) ** e.numerator
 
 
-def unit_power(eps: Sequence, e: Fraction, zero, one) -> list:
-    """Coefficients g_0..g_n of (1 + sum_{j=1..n} eps[j-1] x^j)^e mod x^(n+1).
+def unit_power(eps: Sequence, e: Fraction, zero, one, a0: int = 1) -> Tuple[list, List[int]]:
+    """Scaled coefficients of (1 + sum_{j=1..n} (eps[j-1] / a0) x^j)^e mod x^(n+1).
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7): g = f^e
-    solves f g' = e f' g, so g_0 = 1 and
+    solves f g' = e f' g, so with e = p/q, g_0 = 1 and
 
-        g_k = (1/k) sum_{j=1..k} ((e+1) j - k) eps_j g_{k-j},
+        g_k = (1/(q k)) sum_{j=1..k} ((p+q) j - q k) (eps_j / a0) g_{k-j}.
 
-    O(n^2) ring operations.  The coefficients lie in any ring containing Q,
-    given by its `zero` and `one`: Fractions for series powers, series for
-    kernel powers.
+    Writing g_k = G_k / S_k with S_k = (q a0)^k k! clears every division:
+
+        G_0 = 1,  G_k = sum_{j=1..k} ((p+q) j - q k) (q a0)^(j-1) (k-1)!/(k-j)! eps_j G_{k-j},
+
+    so ring elements are multiplied by each other and by Python ints only,
+    in O(n^2) ring operations; zero eps_j, zero G_{k-j} and zero weights are
+    skipped.  Returns the lists G_0..G_n and S_0..S_n.  The ring is given by
+    its `zero` and `one`: ints for series powers (eps the numerators and a0
+    the leading numerator, any nonzero sign), series for kernel powers
+    (a0 = 1).
     """
     p, q = e.numerator, e.denominator
+    qa = q * a0
     nonzero = [(j, x) for j, x in enumerate(eps, 1) if x != zero]
-    g = [one]
+    G, S = [one], [1]
     for k in range(1, len(eps) + 1):
+        # f[j-1] = (q a0)^(j-1) (k-1)!/(k-j)!
+        f = list(accumulate([qa * i for i in range(k - 1, 0, -1)], mul, initial=1))
         acc = zero
         for j, x in nonzero:
             if j > k:
                 break
-            w = (p + q) * j - q * k  # q * ((e+1) j - k)
-            y = g[k - j]
+            w = (p + q) * j - q * k
+            y = G[k - j]
             if w and y != zero:
-                acc = acc + x * y * w
-        g.append(acc * Fraction(1, q * k))
-    return g
+                acc = acc + x * y * (w * f[j - 1])
+        G.append(acc)
+        S.append(S[-1] * qa * k)
+    return G, S
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
@@ -426,11 +437,15 @@ class LaurentSeries:
             rel = min(rel, trunc - int(ve))
         if rel <= 0:
             return LaurentSeries.zero(int(ve))
-        # self = c0 z^v (1 + eps); result = r0 z^{ve} (1 + eps)^e
-        eps = [Fraction(x, self.nums[0]) for x in self.nums[1:rel]]
-        eps += [Fraction(0)] * (rel - 1 - len(eps))
-        out = unit_power(eps, e, Fraction(0), Fraction(1))
-        return LaurentSeries(int(ve), [r0 * c for c in out], int(ve) + rel)
+        # self = c0 z^v (1 + eps), eps_j = nums_j / nums_0; result = r0 z^{ve} (1 + eps)^e
+        # = r0 z^{ve} sum_k G_k / S_k, brought over r0's denominator times S_{rel-1}
+        eps = list(self.nums[1:rel])
+        eps += [0] * (rel - 1 - len(eps))  # the certified zeros past the stored nums
+        G, S = unit_power(eps, e, 0, 1, self.nums[0])
+        s = S[-1]
+        rn = r0.numerator if s > 0 else -r0.numerator
+        nums = [rn * g * (s // sk) for g, sk in zip(G, S)]
+        return _series(int(ve), nums, r0.denominator * abs(s), int(ve) + rel)
 
     def sqrt(self, trunc: Optional[int] = None) -> "LaurentSeries":
         return self.power_rational(Fraction(1, 2), trunc)

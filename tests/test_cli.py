@@ -241,9 +241,21 @@ class TestPairCommands:
         assert got.agrees(hill_op())  # self-adjoint
 
 
+def dims_raising(exc, monkeypatch, capsys):
+    """Run `dims` with its command replaced by one that raises exc."""
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_dims", boom)
+    return run(["dims", "--algebra", "A:1", "--genus", "2"], capsys)
+
+
 class TestInternalErrors:
     @pytest.mark.parametrize("exc", [AssertionError("nilpotent sum failed to terminate"),
-                                     ZeroDivisionError('inverse of the "zero" series')])
+                                     ZeroDivisionError('inverse of the "zero" series'),
+                                     AttributeError("'NoneType' object has no attribute 'q'"),
+                                     KeyError("coeffs"),
+                                     RecursionError("maximum recursion depth exceeded")])
     def test_internal_error_is_one_line_exit_5(self, exc, monkeypatch, capsys):
         def boom(args):
             raise exc
@@ -253,6 +265,35 @@ class TestInternalErrors:
         assert code == 5 and out == ""
         msg = str(exc).replace('"', "'")
         assert err == f'operctl: code=5 kind={type(exc).__name__} msg="{msg}"\n'
+
+    def test_multiline_message_folds_onto_one_line(self, monkeypatch, capsys):
+        _, _, err = dims_raising(AssertionError("first line\nsecond line\r\nthird"),
+                                 monkeypatch, capsys)
+        assert err == 'operctl: code=5 kind=AssertionError msg="first line second line third"\n'
+
+
+class TestBoundedDiagnostics:
+    def test_huge_malformed_coefficient_is_clipped(self, tmp_path, capsys):
+        obj = ser.diffop_obj(hill_op(), kind="sl")
+        obj["coeffs"][0]["coeffs"][0] = "1x" + "7" * 200000
+        src = tmp_path / "op.json"
+        src.write_text(json.dumps(obj))
+        code, out, err = run(["convert", src, "--kind", "sl"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.encode()) < 1024 and err.count("\n") == 1
+        assert err.startswith("operctl: code=1 kind=MalformedInputError msg=")
+        assert "'1x777" in err and err.endswith(' chars)"\n')
+
+    def test_message_at_the_cap_is_kept_whole(self, monkeypatch, capsys):
+        msg = "m" * cli.MSG_CAP
+        _, _, err = dims_raising(AssertionError(msg), monkeypatch, capsys)
+        assert err == f'operctl: code=5 kind=AssertionError msg="{msg}"\n'
+
+    def test_message_past_the_cap_keeps_prefix_and_length(self, monkeypatch, capsys):
+        msg = "ab" * cli.MSG_CAP
+        _, _, err = dims_raising(AssertionError(msg), monkeypatch, capsys)
+        clipped = msg[:cli.MSG_CAP] + f"...({len(msg)} chars)"
+        assert err == f'operctl: code=5 kind=AssertionError msg="{clipped}"\n'
 
 
 class TestTables:

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opercalc.errors import PreconditionError
 from opercalc.kernels import BiKernel
@@ -258,3 +259,62 @@ class TestLinear:
         a = LaurentSeries.from_terms({0: 1}, trunc=5)
         K = BiKernel(1, 1, 0, 1, {0: a, 1: ONE})
         assert K.trunc == 5 and K.coeff(1).trunc == 5
+
+
+def miller_kernel_power(K, e):
+    """K^e by Miller's recurrence run on series with Fraction weights (no scaling)."""
+    width = K.mmax - K.mmin
+    c0 = K.coeff(K.mmin)
+    inv0 = c0.inverse()
+    eps = [None] + [K.coeff(K.mmin + j) * inv0 for j in range(1, width + 1)]
+    g = [ONE]
+    for k in range(1, width + 1):
+        acc = LaurentSeries.zero()
+        for j in range(1, k + 1):
+            acc = acc + eps[j] * g[k - j] * ((e + 1) * j - k)
+        g.append(acc * F(1, k))
+    lead = c0.power_rational(e)
+    base = int(e * K.mmin)
+    return BiKernel(e * K.w1, e * K.w2, base, base + width,
+                    {base + k: c * lead for k, c in enumerate(g)})
+
+
+RATS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def unit_kernel(draw):
+    """(K, e): leading coefficient 1, exact or truncated (then c0 only agrees with 1)."""
+    e = draw(st.sampled_from([F(1, 2), F(-1, 3), F(2, 3), F(4, 3), F(-5, 2)]))
+    q = e.denominator
+    width = draw(st.integers(0, 7))
+    mmin = q * draw(st.integers(-2, 1))
+    trunc = draw(st.one_of(st.none(), st.integers(1, 10)))
+    coeffs = {mmin: LaurentSeries.one(trunc)}
+    for k in range(1, width + 1):
+        terms = draw(st.dictionaries(st.integers(-2, 4), RATS, max_size=3))
+        if terms:
+            coeffs[mmin + k] = LaurentSeries.from_terms(terms, trunc)
+    w = F(q * draw(st.integers(-3, 3)), 2)
+    return BiKernel(w, w, mmin, mmin + width, coeffs), e
+
+
+class TestFractionFreePower:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(unit_kernel())
+    def test_matches_series_miller(self, case):
+        K, e = case
+        P, R = K.power(e), miller_kernel_power(K, e)
+        assert P == R and P.trunc == R.trunc
+        assert [c.trunc for c in P.coeffs.values()] == [c.trunc for c in R.coeffs.values()]
+
+    def test_truncated_leading_coefficient_that_only_agrees_with_one(self):
+        c0 = LaurentSeries.one(4)
+        assert c0.agrees(1) and c0 != ONE
+        K = BiKernel(1, 1, -2, 3, {-2: c0, -1: LaurentSeries.from_terms({0: 2, 1: -1}, 4),
+                                  1: LaurentSeries.from_terms({-1: F(1, 3)}, 4),
+                                  3: LaurentSeries.from_terms({2: 5}, 4)})
+        for e in (F(1, 2), F(-1, 2), F(3, 2)):
+            P = K.power(e)
+            assert P == miller_kernel_power(K, e)
+            assert P.trunc == 3 and P.coeff(int(-2 * e)).agrees(1)

@@ -14,7 +14,10 @@ import pytest
 from opercalc.errors import MalformedInputError
 from opercalc.lie import AlgebraType, LieModel, invariants, model, parse_algebra
 from opercalc.matrices import (
+    fmat_combine,
     fmat_comm,
+    fmat_inverse,
+    fmat_mul,
     fmat_scale,
     smat_add,
     smat_agrees,
@@ -127,6 +130,77 @@ class TestKostantSplit:
             assert fresh.vbasis_fingerprint() == model(family, rank).vbasis_fingerprint()
             prints[(family, rank)] = fresh.vbasis_fingerprint()
         assert len(set(prints.values())) == len(prints)
+
+
+# the complement bases fix every normal form written to disk, so their
+# digests are pinned: any change to the model construction must leave them
+FINGERPRINTS = {
+    ("A", 1): "28c08c227265d164", ("A", 2): "c6caf4f347a4b0cd",
+    ("A", 3): "6961a24be13b115d", ("A", 4): "1ef09a24fe27ab44",
+    ("A", 5): "e5e0d0ad8e70ad3e",
+    ("B", 2): "ae0db4caa8909b15", ("B", 3): "ccaf31bab0c10946",
+    ("B", 4): "7a96dbff1f1a6f55", ("B", 5): "8069e8d074cbe8d7",
+    ("C", 2): "5e6a2ee9e31f5e5d", ("C", 3): "d5836ebb38220806",
+    ("C", 4): "d2882467fe71e678", ("C", 5): "3f85fccf7d38a91e",
+    ("D", 3): "3bb39190192fee12", ("D", 4): "e436aee416291780",
+    ("D", 5): "0eb40362cc1ef4e0",
+}
+
+
+class TestPinnedModelData:
+    @pytest.mark.parametrize("family,rank", sorted(FINGERPRINTS))
+    def test_vbasis_fingerprint(self, family, rank):
+        assert model(family, rank).vbasis_fingerprint() == FINGERPRINTS[(family, rank)]
+
+    @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4)])
+    def test_project_is_the_form_projection(self, family, rank):
+        # (X - J^-1 X^T J) / 2 with J^-1 from dense elimination, against project
+        m = model(family, rank)
+        rng = random.Random(rank)
+        Jinv = fmat_inverse(m.J)
+        for _ in range(5):
+            X = tuple(tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.N))
+                      for _ in range(m.N))
+            theta = naive_mul(naive_mul(Jinv, tuple(zip(*X))), m.J)
+            want = tuple(tuple((x - t) / 2 for x, t in zip(rx, rt)) for rx, rt in zip(X, theta))
+            assert m.project(X) == want
+
+
+def naive_mul(a, b):
+    """The dense triple loop."""
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def rnd_frac_matrix(rng, n, m, density):
+    return tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < density
+                       else F(0) for _ in range(m)) for _ in range(n))
+
+
+class TestFracProducts:
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.4, 1.0])
+    def test_fmat_mul_matches_dense_triple_loop(self, density):
+        rng = random.Random(int(density * 10) + 17)
+        for n, k, m in [(1, 1, 1), (3, 3, 3), (2, 5, 4), (6, 1, 3), (5, 7, 2), (9, 9, 9)]:
+            a = rnd_frac_matrix(rng, n, k, density)
+            b = rnd_frac_matrix(rng, k, m, density)
+            got = fmat_mul(a, b)
+            assert got == naive_mul(a, b)
+            assert all(type(x) is F for row in got for x in row)
+            assert len(got) == n and all(len(row) == m for row in got)
+
+    def test_fmat_combine_and_comm_match_dense(self):
+        rng = random.Random(5)
+        for density in (0.1, 0.5, 1.0):
+            mats = [rnd_frac_matrix(rng, 3, 4, density) for _ in range(4)]
+            coeffs = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in mats]
+            want = tuple(tuple(sum((c * mat[i][j] for c, mat in zip(coeffs, mats)), F(0))
+                               for j in range(4)) for i in range(3))
+            assert fmat_combine(coeffs, mats) == want
+            a, b = (rnd_frac_matrix(rng, 5, 5, density) for _ in range(2))
+            ab, ba = naive_mul(a, b), naive_mul(b, a)
+            assert fmat_comm(a, b) == tuple(tuple(x - y for x, y in zip(r, t))
+                                            for r, t in zip(ab, ba))
 
 
 def dense_in_model(m, q):

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opercalc.errors import InsufficientTruncationError, PreconditionError
-from opercalc.series import Density, LaurentSeries, fraction_root
+from opercalc.series import Density, LaurentSeries, fraction_root, unit_power
 
 Z = LaurentSeries.monomial(1, 1)
 
@@ -484,3 +484,93 @@ class TestIntegerRepresentation:
         want = LaurentSeries(-v, expected, 32 - v)
         assert S(terms).inverse(trunc=32 - v) == want
         assert S(terms, trunc=v + 32).inverse() == want
+
+
+# -- the fraction-free power recurrence, against a plain Fraction Miller loop ----
+
+POWER_EXPS = [F(1, 2), F(-1, 3), F(2, 3), F(4, 3), F(-5, 2)]
+NONZERO = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+def miller(eps, e, n):
+    """g_0..g_(n-1) of (1 + sum_j eps[j] x^j)^e: g_k = (1/k) sum ((e+1) j - k) eps_j g_(k-j)."""
+    eps = list(eps[:n]) + [F(0)] * (n - len(eps))
+    g = [F(1)]
+    for k in range(1, n):
+        g.append(sum((((e + 1) * j - k) * eps[j] * g[k - j] for j in range(1, k + 1)), F(0)) / k)
+    return g
+
+
+def ref_power(val, cs, t, e, root, trunc=None):
+    """(val, coeffs, trunc) of the power e of val + cs (certified below t), root = cs[0]^e."""
+    ve = int(e * val)
+    if t is None:
+        if not any(cs[1:]):
+            return canon(ve, [root], None)
+        rel = trunc - ve
+    else:
+        rel = t - val if trunc is None else min(t - val, trunc - ve)
+    if rel <= 0:
+        return canon(ve, [], ve)
+    g = miller([c / cs[0] for c in cs], e, rel)
+    return canon(ve, [root * x for x in g], ve + rel)
+
+
+@st.composite
+def power_case(draw):
+    """(e, root, val, coeffs, trunc of the input, trunc argument) over every input shape."""
+    e = draw(st.sampled_from(POWER_EXPS))
+    q = e.denominator
+    rho = draw(st.sampled_from([F(1), F(2, 3), F(-2), F(3, 5)]))
+    lead = rho**q
+    root = (rho if q % 2 else abs(rho)) ** e.numerator
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):  # sparse: most eps_j are zero
+        support = draw(st.dictionaries(st.integers(1, 63), NONZERO, max_size=4))
+        cs = [support.get(k, F(0)) for k in range(1, n)]
+    else:
+        cs = draw(st.lists(RATS, min_size=n - 1, max_size=n - 1))
+    val = q * draw(st.integers(-2, 2))
+    shape = draw(st.sampled_from(["truncated", "short", "exact", "trunc-arg"]))
+    trunc, arg = val + n, None
+    if shape == "short":  # rel_prec past the stored nums: the tail is certified zero
+        cs = cs[: draw(st.integers(0, n - 1))]
+    elif shape == "exact":
+        trunc, arg = None, int(e * val) + n
+    elif shape == "trunc-arg":
+        arg = int(e * val) + draw(st.integers(-2, n + 3))
+    return e, root, val, [lead] + cs, trunc, arg
+
+
+class TestFractionFreePower:
+    @SETTINGS
+    @given(power_case())
+    def test_matches_fraction_miller(self, case):
+        e, root, val, cs, trunc, arg = case
+        got = LaurentSeries(val, cs, trunc).power_rational(e, arg)
+        check(got, ref_power(val, cs, trunc, e, root, arg))
+
+    @pytest.mark.parametrize("e", POWER_EXPS)
+    def test_dense_64_orders(self, e):
+        rng = random.Random(64)
+        cs = [F(1)] + [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(63)]
+        check(LaurentSeries(0, cs, 64).power_rational(e), ref_power(0, cs, 64, e, F(1)))
+
+    @pytest.mark.parametrize("lead, e, root", [(F(1), F(1, 2), F(1)), (F(4, 9), F(1, 2), F(2, 3)),
+                                               (F(-8), F(1, 3), F(-2)), (F(-8), F(2, 3), F(4)),
+                                               (F(-8), F(-1, 3), F(-1, 2))])
+    def test_leading_coefficients(self, lead, e, root):
+        # a negative leading numerator makes the scales (q a0)^k k! alternate in sign
+        cs = [lead, F(3), F(0), F(-1, 2), F(0), F(0), F(5, 7)]
+        for val in (-3 * e.denominator, 0, 2 * e.denominator):
+            got = LaurentSeries(val, cs, val + 20).power_rational(e)
+            check(got, ref_power(val, cs, val + 20, e, root))
+            assert got.den > 0
+
+    def test_unit_power_scales(self):
+        # G_k / S_k are the coefficients of (1 + sum (eps_j / a0) x^j)^e, S_k = (q a0)^k k!
+        eps, a0, e = [3, 0, -2, 7, 0, 1], -5, F(-2, 3)
+        G, S = unit_power(eps, e, 0, 1, a0)
+        assert S == [(3 * a0) ** k * factorial(k) for k in range(len(eps) + 1)]
+        assert all(type(g) is int for g in G)
+        assert [F(g, s) for g, s in zip(G, S)] == miller([F(0)] + [F(x, a0) for x in eps], e, 7)
