@@ -22,27 +22,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import serialize as ser
-from .diffops import (
-    DiffOp,
-    diffop_from_kernel,
-    kernel_from_diffop,
-    to_plain,
-    transpose,
-)
-from .dictionary import (
-    FAMILY_KIND,
-    FlaggedSystem,
-    companion_torus,
-    diffop_from_oper,
-    dualize,
-    oper_from_diffop,
-    sl2_to_o3,
-    so_even_build,
-    so_even_extract,
-)
 from .errors import (
     IdentityCheckError,
     InsufficientTruncationError,
@@ -51,20 +33,14 @@ from .errors import (
     OperCalcError,
     PreconditionError,
 )
-from .gauge import (
-    CanonicalForm,
-    OperConnection,
-    classify_singularity,
-    desingularize,
-    gauge_compose,
-    hitchin_map,
-    moduli_dimension,
-    normalize,
-    normalize_singular,
-)
-from .kernels import BiKernel
-from .lie import model, parse_algebra
-from .series import Density, LaurentSeries
+
+if TYPE_CHECKING:
+    from .diffops import DiffOp
+    from .series import LaurentSeries
+
+# Library modules are imported inside each command, after its input is read
+# and checked, so that a process loads only what its command uses and a bad
+# file fails before any of the arithmetic is loaded.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,6 +129,8 @@ def _compact(obj: dict) -> str:
 
 def cmd_normalize(args) -> int:
     conn, _ = _load_as(args.connection, "connection")
+    from .gauge import normalize
+
     g, cf = _with_trunc(lambda t: normalize(conn, trunc=t), args.trunc)
     p = _prefix(args, args.connection)
     _write(p + ".canonical.json", ser.canonical_obj(cf))
@@ -164,6 +142,8 @@ def cmd_normalize_singular(args) -> int:
     fobj = _read(args.scaling)
     f = ser.series_load(fobj)
     conn, _ = _load_as(args.connection, "connection")
+    from .gauge import normalize_singular
+
     g, cf = _with_trunc(lambda t: normalize_singular(f, conn, trunc=t), args.trunc)
     p = _prefix(args, args.connection)
     _write(p + ".canonical.json", ser.canonical_obj(cf))
@@ -175,6 +155,8 @@ def cmd_desingularize(args) -> int:
     fobj = _read(args.scaling)
     f = ser.series_load(fobj)
     cf, _ = _load_as(args.canonical, "canonical")
+    from .gauge import desingularize
+
     out = _with_trunc(lambda t: desingularize(f, cf, trunc=t), args.trunc)
     p = _prefix(args, args.canonical)
     _write(p + ".desingularized.json", ser.canonical_obj(out))
@@ -183,6 +165,8 @@ def cmd_desingularize(args) -> int:
 
 def cmd_classify(args) -> int:
     cf, _ = _load_as(args.canonical, "canonical")
+    from .gauge import classify_singularity
+
     m, table = classify_singularity(cf)
     print(f"multiplicity {m}")
     for d, pole in table:
@@ -199,6 +183,8 @@ def cmd_convert(args) -> int:
         kind = args.kind or obj.get("kind")
         if kind is None:
             raise MalformedInputError("building a connection needs --kind")
+        from .dictionary import FlaggedSystem, companion_torus, oper_from_diffop
+
         out = _with_trunc(lambda t: oper_from_diffop(op, kind, trunc=t), args.trunc)
         if isinstance(out, FlaggedSystem):
             _write(p + ".flagged.json", ser.flagged_obj(out))
@@ -211,6 +197,8 @@ def cmd_convert(args) -> int:
         return 0
     if tag in ("connection", "flagged"):
         carrier = ser.load_object(obj)
+        from .dictionary import FAMILY_KIND, diffop_from_oper
+
         kind = args.kind
         op = _with_trunc(lambda t: diffop_from_oper(carrier, kind, trunc=t), args.trunc)
         if kind is None:
@@ -223,6 +211,8 @@ def cmd_convert(args) -> int:
 def cmd_transpose(args) -> int:
     obj = _read(args.input)
     op = ser.diffop_load(obj)
+    from .diffops import transpose
+
     p = _prefix(args, args.input)
     _write(p + ".transpose.json", ser.diffop_obj(transpose(op), kind=obj.get("kind")))
     return 0
@@ -230,6 +220,8 @@ def cmd_transpose(args) -> int:
 
 def cmd_dualize(args) -> int:
     obj, _ = _load_as(args.input, "connection", "flagged")
+    from .dictionary import dualize
+
     p = _prefix(args, args.input)
     _write(p + ".dual.json", ser.flagged_obj(dualize(obj)))
     return 0
@@ -241,6 +233,8 @@ _PARITY = {"sym": 1, "skew": -1}
 def cmd_kernel(args) -> int:
     obj = _read(args.input)
     op = ser.diffop_load(obj)
+    from .diffops import kernel_from_diffop
+
     k = kernel_from_diffop(op)
     if args.lift is not None:
         k = k.symmetrize_lift(_PARITY[args.lift], args.extra)
@@ -252,6 +246,8 @@ def cmd_kernel(args) -> int:
 
 
 def _hill_potential(op: DiffOp) -> LaurentSeries:
+    from .series import LaurentSeries
+
     if op.order != 2 or not op.coeffs[2].agrees(LaurentSeries.one()):
         raise PreconditionError("kernel identities start from a monic order-2 operator")
     if (op.src, op.tgt) != (Fraction(-1, 2), Fraction(3, 2)):
@@ -263,11 +259,16 @@ def _hill_potential(op: DiffOp) -> LaurentSeries:
 
 def _kernel_checks(op: DiffOp, names: List[str]):
     """Yield (name, lhs, rhs, pass) for the requested identities."""
+    from .diffops import diffop_from_kernel, kernel_from_diffop, to_plain
+
     for name in names:
         if name in ("pow43", "pow23"):
             u = _hill_potential(op)
             k = kernel_from_diffop(op).symmetrize_lift(-1, 1)
             if name == "pow43":
+                from .dictionary import sl2_to_o3
+                from .series import Density
+
                 lhs = k.power(Fraction(4, 3))
                 _, lt = sl2_to_o3(Density(u, 2), planck=op.planck)
                 rhs = kernel_from_diffop(lt)
@@ -305,6 +306,8 @@ def cmd_kernel_check(args) -> int:
 
 def cmd_sl2_o3(args) -> int:
     u = ser.density_load(_read(args.density))
+    from .dictionary import sl2_to_o3
+
     conn, lt = sl2_to_o3(u, planck=_rat(args.planck))
     p = _prefix(args, args.density)
     _write(p + ".connection.json", ser.connection_obj(conn))
@@ -315,6 +318,8 @@ def cmd_sl2_o3(args) -> int:
 def cmd_so_even_build(args) -> int:
     op = ser.diffop_load(_read(args.operator))
     f = ser.density_load(_read(args.density))
+    from .dictionary import so_even_build
+
     conn, sym = so_even_build(op, f, depth=args.depth)
     p = _prefix(args, args.operator)
     _write(p + ".connection.json", ser.connection_obj(conn))
@@ -324,6 +329,8 @@ def cmd_so_even_build(args) -> int:
 
 def cmd_so_even_extract(args) -> int:
     conn, _ = _load_as(args.connection, "connection")
+    from .dictionary import so_even_extract
+
     op, f = _with_trunc(lambda t: so_even_extract(conn, trunc=t), args.trunc)
     p = _prefix(args, args.connection)
     _write(p + ".diffop.json", ser.diffop_obj(op, kind="so_odd"))
@@ -333,6 +340,8 @@ def cmd_so_even_extract(args) -> int:
 
 def cmd_hitchin(args) -> int:
     cf, _ = _load_as(args.canonical, "canonical")
+    from .gauge import hitchin_map
+
     inv = hitchin_map(cf)
     out = {
         "format": "invariants",
@@ -347,7 +356,11 @@ def cmd_hitchin(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from .lie import parse_algebra
+
     algebra = parse_algebra(args.algebra)
+    from .gauge import moduli_dimension
+
     total, rows = moduli_dimension(algebra, args.genus, args.twist)
     print(f"algebra {algebra.describe()} genus {args.genus} twist {args.twist}")
     for d, k, dim in rows:
@@ -357,6 +370,19 @@ def cmd_dims(args) -> int:
 
 
 def _selftest_cases():
+    from .diffops import DiffOp, transpose
+    from .dictionary import companion_system, diffop_from_oper, dualize, oper_from_diffop
+    from .gauge import (
+        CanonicalForm,
+        GaugeElement,
+        gauge_apply,
+        gauge_compose,
+        moduli_dimension,
+        normalize,
+    )
+    from .lie import model
+    from .series import Density, LaurentSeries
+
     one = LaurentSeries.one()
     u = LaurentSeries.from_terms({0: 3, 1: 1, 3: -2})
     hill = DiffOp.from_map({2: one, 0: u}, Fraction(-1, 2), Fraction(3, 2), 1)
@@ -374,8 +400,6 @@ def _selftest_cases():
         conn = cf.connection()
         g, cf2 = normalize(conn)
         yield "normalize-fixed-point", g.is_identity() and cf2.agrees(cf)
-        from .gauge import GaugeElement, gauge_apply
-
         b = GaugeElement(m, {0: LaurentSeries.constant(3)}, [((LaurentSeries.zero(), z), (LaurentSeries.zero(), LaurentSeries.zero()))])
         g2, cf3 = normalize(gauge_apply(conn, b))
         yield "normalize-gauge-invariance", cf3.agrees(cf) and gauge_compose(b, g2).is_identity()
@@ -388,8 +412,6 @@ def _selftest_cases():
         sp = Fraction(1, 2) * (sym + transpose(sym))
         conn = oper_from_diffop(sp, "sp")
         yield "dictionary-roundtrip-sp", diffop_from_oper(conn, trunc=16).agrees(sp)
-        from .dictionary import companion_system
-
         cub = DiffOp.from_map({3: one, 1: u, 0: u.derivative()}, -1, 2, 1)
         dual = dualize(companion_system(cub))
         got = diffop_from_oper(dual, trunc=16)

@@ -17,7 +17,6 @@ a = (1 - n)/2, b = (1 + n)/2 for the other kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -34,6 +33,7 @@ from .matrices import (
     smat_from_frac,
     smat_mul,
 )
+from .record import Record
 from .series import Density, LaurentSeries, Rat, _fr, half_integer
 
 ZERO = LaurentSeries.zero()
@@ -46,8 +46,7 @@ FAMILY_KIND = {f: k for k, f in KIND_FAMILY.items()}
 # -- flagged systems -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlaggedSystem:
+class FlaggedSystem(Record):
     """h*d/dz + q on O^n together with the weights of the two edge lines.
 
     `src` is the density weight carried by the first coordinate line and
@@ -55,15 +54,13 @@ class FlaggedSystem:
     the system maps weight-src densities to weight-tgt densities.
     """
 
-    matrix: SeriesMatrix
-    src: Fraction
-    tgt: Fraction
-    planck: Fraction
+    __slots__ = ("matrix", "src", "tgt", "planck")
 
-    def __post_init__(self):
-        object.__setattr__(self, "src", half_integer(self.src))
-        object.__setattr__(self, "tgt", half_integer(self.tgt))
-        object.__setattr__(self, "planck", _fr(self.planck))
+    def __init__(self, matrix: SeriesMatrix, src: Rat, tgt: Rat, planck: Rat):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "src", half_integer(src))
+        object.__setattr__(self, "tgt", half_integer(tgt))
+        object.__setattr__(self, "planck", _fr(planck))
 
     @property
     def n(self) -> int:

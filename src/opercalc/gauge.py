@@ -19,7 +19,6 @@ spectral data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import ceil
@@ -48,18 +47,21 @@ from .matrices import (
     smat_truncate,
     smat_zero,
 )
+from .record import Record
 from .series import Density, LaurentSeries
 
 ONE = LaurentSeries.one()
 
 
-@dataclass(frozen=True)
-class OperConnection:
+class OperConnection(Record):
     """h*d/dz + q with q a series matrix in the model."""
 
-    model: LieModel
-    planck: Fraction
-    q: SeriesMatrix
+    __slots__ = ("model", "planck", "q")
+
+    def __init__(self, model: LieModel, planck: Fraction, q: SeriesMatrix):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "planck", planck)
+        object.__setattr__(self, "q", q)
 
     def validate(self):
         if not self.model.in_model(self.q):
@@ -71,18 +73,21 @@ class OperConnection:
         return OperConnection(self.model, self.planck, smat_truncate(self.q, trunc))
 
 
-@dataclass(frozen=True)
-class GaugeElement:
+class GaugeElement(Record):
     """b = t * exp(u_1) * exp(u_2) * ...
 
     `torus` maps a simple-root index to the coordinate c_alpha = alpha(t);
     missing indices mean 1.  `steps[r-1]` is u_r, homogeneous of degree r
-    (trailing entries may be zero matrices).
+    (trailing entries may be zero matrices).  Unhashable, as `torus` is a dict.
     """
 
-    model: LieModel
-    torus: Dict[int, LaurentSeries] = field(default_factory=dict)
-    steps: List[SeriesMatrix] = field(default_factory=list)
+    __slots__ = ("model", "torus", "steps")
+
+    def __init__(self, model: LieModel, torus: Optional[Dict[int, LaurentSeries]] = None,
+                 steps: Optional[List[SeriesMatrix]] = None):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "torus", {} if torus is None else torus)
+        object.__setattr__(self, "steps", [] if steps is None else steps)
 
     def validate(self):
         for r, c in self.torus.items():
@@ -119,22 +124,22 @@ def identity_gauge(model: LieModel) -> GaugeElement:
     return GaugeElement(model, {}, [])
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """h*d/dz + y + sum v_d * B_d, densities listed in exponent order."""
 
-    model: LieModel
-    planck: Fraction
-    v: Tuple[Density, ...]
+    __slots__ = ("model", "planck", "v")
 
-    def __post_init__(self):
-        if len(self.v) != self.model.rank:
+    def __init__(self, model: LieModel, planck: Fraction, v: Tuple[Density, ...]):
+        if len(v) != model.rank:
             raise PreconditionError("one canonical density per exponent is required")
-        for d, dens in zip(self.model.exponents, self.v):
+        for d, dens in zip(model.exponents, v):
             if dens.weight != d + 1:
                 raise PreconditionError(
                     f"density for exponent {d} must have weight {d + 1}, got {dens.weight}"
                 )
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "planck", planck)
+        object.__setattr__(self, "v", v)
 
     def matrix(self) -> SeriesMatrix:
         m = self.model

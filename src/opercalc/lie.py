@@ -11,8 +11,6 @@ ad(y) plus a pinned complement are all computed exactly and cached.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -32,13 +30,13 @@ from .matrices import (
     smat_zero,
     solve_exact,
 )
+from .record import Record
 from .series import LaurentSeries
 
 FAMILIES = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True)
-class AlgebraType:
+class AlgebraType(Record):
     """A family letter and a rank, with what follows from them alone.
 
     Building a :class:`LieModel` takes exact elimination over N x N
@@ -46,14 +44,15 @@ class AlgebraType:
     ``model(t.family, t.rank)`` builds the model of a type ``t``.
     """
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise MalformedInputError(f"unknown family {self.family!r}")
-        if self.rank < 1 or (self.family == "D" and self.rank < 2):
-            raise MalformedInputError(f"rank {self.rank} out of range for family {self.family}")
+    def __init__(self, family: str, rank: int):
+        if family not in FAMILIES:
+            raise MalformedInputError(f"unknown family {family!r}")
+        if rank < 1 or (family == "D" and rank < 2):
+            raise MalformedInputError(f"rank {rank} out of range for family {family}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def N(self) -> int:
@@ -385,6 +384,8 @@ class LieModel:
         for d in range(1, self.dmax + 1):
             for b in self.kostant_data(d)["vbasis"]:
                 parts.append(f"d{d}:" + ";".join(",".join(str(x) for x in row) for row in b))
+        import hashlib  # loads OpenSSL; most operctl commands never need a fingerprint
+
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
     def __eq__(self, other):

@@ -13,16 +13,29 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .diffops import DiffOp, PseudoSymbol
-from .dictionary import FlaggedSystem
 from .errors import MalformedInputError
-from .gauge import CanonicalForm, GaugeElement, OperConnection
-from .kernels import BiKernel
-from .lie import LieModel, model
-from .series import Density, LaurentSeries
+
+if TYPE_CHECKING:  # annotations only: each loader imports its classes when called
+    from .diffops import DiffOp, PseudoSymbol
+    from .dictionary import FlaggedSystem
+    from .gauge import CanonicalForm, GaugeElement, OperConnection
+    from .kernels import BiKernel
+    from .lie import LieModel
+    from .series import Density, LaurentSeries
+
+# Input caps.  A file within them loads exactly as it would without them; one
+# beyond them is malformed (exit 1), so that a few hundred bytes cannot ask for
+# millions of coefficients.  Each cap sits far above every file the tests and
+# the benchmark feed to operctl or have it write.
+MAX_ORDER = 10_000  # |x| of every integer field: series val and trunc, orders, ranks
+MAX_ENTRIES = 10_000  # items in one array or object
+# decimal digits of one rational, numerator and denominator together; below
+# CPython's default limit of 4300 digits on int <-> str conversion
+MAX_DIGITS = 4_000
+_INT_CAP = 10**MAX_DIGITS
 
 
 def rat_str(x) -> str:
@@ -37,8 +50,12 @@ def rat_parse(s) -> Fraction:
         if isinstance(s, bool):
             raise ValueError
         if isinstance(s, int):
+            if abs(s) >= _INT_CAP:
+                raise MalformedInputError(f"rational over the cap of {MAX_DIGITS} digits")
             return Fraction(s)
         if isinstance(s, str) and _RAT.match(s):
+            if len(s) - s.startswith("-") - ("/" in s) > MAX_DIGITS:
+                raise MalformedInputError(f"rational over the cap of {MAX_DIGITS} digits")
             return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
@@ -48,18 +65,24 @@ def rat_parse(s) -> Fraction:
 def _int(x, what) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise MalformedInputError(f"{what} must be an integer, got {x!r}")
+    if abs(x) > MAX_ORDER:
+        raise MalformedInputError(f"{what} is over the cap of {MAX_ORDER} in absolute value")
     return x
 
 
 def _dict(x, what) -> dict:
     if not isinstance(x, dict):
         raise MalformedInputError(f"{what} must be an object, got {type(x).__name__}")
+    if len(x) > MAX_ENTRIES:
+        raise MalformedInputError(f"{what} has {len(x)} entries, over the cap of {MAX_ENTRIES}")
     return x
 
 
 def _list(x, what) -> list:
     if not isinstance(x, list):
         raise MalformedInputError(f"{what} must be an array, got {type(x).__name__}")
+    if len(x) > MAX_ENTRIES:
+        raise MalformedInputError(f"{what} has {len(x)} entries, over the cap of {MAX_ENTRIES}")
     return x
 
 
@@ -75,6 +98,8 @@ def series_obj(s: LaurentSeries) -> dict:
 
 
 def series_load(obj) -> LaurentSeries:
+    from .series import LaurentSeries
+
     obj = _dict(obj, "series")
     if "val" not in obj or "coeffs" not in obj:
         raise MalformedInputError("series needs 'val' and 'coeffs' fields")
@@ -93,6 +118,8 @@ def density_obj(d: Density) -> dict:
 
 
 def density_load(obj) -> Density:
+    from .series import Density
+
     obj = _dict(obj, "density")
     if "weight" not in obj:
         raise MalformedInputError("density needs a weight")
@@ -113,6 +140,8 @@ def kernel_obj(k: BiKernel) -> dict:
 
 
 def kernel_load(obj) -> BiKernel:
+    from .kernels import BiKernel
+
     obj = _dict(obj, "kernel")
     try:
         coeffs = {
@@ -138,6 +167,8 @@ def algebra_obj(m: LieModel) -> dict:
 
 
 def algebra_load(obj) -> LieModel:
+    from .lie import model
+
     obj = _dict(obj, "algebra")
     fam = obj.get("type")
     if fam not in ("A", "B", "C", "D"):
@@ -167,6 +198,8 @@ def connection_obj(conn: OperConnection) -> dict:
 
 
 def connection_load(obj) -> OperConnection:
+    from .gauge import OperConnection
+
     obj = _dict(obj, "connection")
     m = algebra_load(obj.get("algebra"))
     conn = OperConnection(m, rat_parse(obj.get("planck", 1)), matrix_load(obj.get("q")))
@@ -186,6 +219,8 @@ def flagged_obj(fs: FlaggedSystem) -> dict:
 
 
 def flagged_load(obj) -> FlaggedSystem:
+    from .dictionary import FlaggedSystem
+
     obj = _dict(obj, "flagged system")
     return FlaggedSystem(
         matrix_load(obj.get("q")),
@@ -213,6 +248,8 @@ def canonical_obj(cf: CanonicalForm) -> dict:
 
 
 def canonical_load(obj) -> CanonicalForm:
+    from .gauge import CanonicalForm
+
     obj = _dict(obj, "canonical form")
     m = algebra_load(obj.get("algebra"))
     fp = obj.get("vbasis")
@@ -239,6 +276,8 @@ def gauge_obj(b: GaugeElement) -> dict:
 
 
 def gauge_load(obj, m: Optional[LieModel] = None) -> GaugeElement:
+    from .gauge import GaugeElement
+
     obj = _dict(obj, "gauge")
     if m is None:
         if "algebra" not in obj:
@@ -273,6 +312,8 @@ def diffop_obj(op: DiffOp, kind: Optional[str] = None) -> dict:
 
 
 def diffop_load(obj) -> DiffOp:
+    from .diffops import DiffOp
+
     obj = _dict(obj, "operator")
     coeffs = [series_load(c) for c in _list(obj.get("coeffs"), "operator coeffs")]
     order = _int(obj.get("order", len(coeffs) - 1), "operator order")
@@ -288,6 +329,8 @@ def diffop_load(obj) -> DiffOp:
 
 
 def symbol_obj(p: PseudoSymbol) -> dict:
+    from .series import LaurentSeries
+
     return {
         "format": "symbol",
         "order": p.top,
@@ -302,6 +345,8 @@ def symbol_obj(p: PseudoSymbol) -> dict:
 
 
 def symbol_load(obj) -> PseudoSymbol:
+    from .diffops import PseudoSymbol
+
     obj = _dict(obj, "symbol")
     floor = _int(obj.get("floor"), "symbol floor")
     coeffs = [series_load(c) for c in _list(obj.get("coeffs"), "symbol coeffs")]
@@ -375,6 +420,6 @@ def dumps(obj: dict) -> str:
 def loads(text: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # a JSON syntax error, an over-long integer, deep nesting
         raise MalformedInputError(f"not valid structured text: {e}")
     return _dict(obj, "input")

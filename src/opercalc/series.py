@@ -19,7 +19,6 @@ these ints; ``coeffs`` is a read-only view of the coefficients as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
@@ -27,6 +26,7 @@ from operator import add, mul
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InsufficientTruncationError, PreconditionError
+from .record import Record
 
 Rat = Union[int, Fraction]
 
@@ -528,8 +528,7 @@ def half_integer(w: Rat) -> Fraction:
     return w
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(Record):
     """A series section of the w-th tensor power of the cotangent line.
 
     The local coordinate trivializes the line, so a density is a series with a
@@ -537,11 +536,11 @@ class Density:
     is attached to transposing half-integer factors.
     """
 
-    series: LaurentSeries
-    weight: Fraction
+    __slots__ = ("series", "weight")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", half_integer(self.weight))
+    def __init__(self, series: LaurentSeries, weight: Rat):
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "weight", half_integer(weight))
 
     def __add__(self, other: "Density") -> "Density":
         if self.weight != other.weight:

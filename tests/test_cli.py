@@ -365,6 +365,19 @@ class TestDiagnostics:
         assert err.startswith('operctl: code=1 kind=MalformedInputError msg="')
         assert err.count("\n") == 1
 
+    def test_huge_certified_order_exits_1_at_once(self, tmp_path, capsys):
+        # a file of a few hundred bytes asking for two million certified orders
+        hill = ser.diffop_obj(hill_op(), kind="sl")
+        hill["coeffs"][0] = {"val": 0, "coeffs": ["3", "1"], "trunc": 2_000_000}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(hill))
+        start = time.perf_counter()
+        code, out, err = run(["convert", str(p), "--kind", "sl"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == "" and "over the cap" in err
+        assert err.count("\n") == 1
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["huge.json"]
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(["normalize", str(tmp_path / "absent.json")], capsys)
         assert code == 1 and "cannot read" in err
@@ -397,7 +410,7 @@ class TestDiagnostics:
         def starved(conn, trunc=None, deriv=None):
             raise InsufficientTruncationError("needs more certified orders")
 
-        monkeypatch.setattr(cli, "normalize", starved)
+        monkeypatch.setattr("opercalc.gauge.normalize", starved)
         code, _, err = run(["normalize", src], capsys)
         assert code == 3 and "kind=InsufficientTruncationError" in err
 

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from opercalc.errors import (
     IdentityCheckError,
@@ -560,3 +561,86 @@ class TestDimensions:
             moduli_dimension(model("A", 1), -1, 0)
         with pytest.raises(PreconditionError):
             moduli_dimension(model("A", 1), 0, -2)
+
+
+# -- group laws, over drawn gauge elements with torus parts -------------------------
+
+LAW_MODELS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+              ("D", 3), ("D", 4)]
+PLANCKS = st.sampled_from([F(1), F(1, 2), F(0)])
+LAW_T = 6  # certified order of every drawn coefficient
+# no shrink phase: each example costs up to a few hundred ms at D:4, so shrinking
+# a failure would run for many minutes; the drawn examples are small already
+LAWS = settings(derandomize=True, database=None, max_examples=6, deadline=None,
+                phases=(Phase.explicit, Phase.reuse, Phase.generate))
+LAW_RATS = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def law_series(lo=0):
+    """A series from z^lo on, certified to order LAW_T; O(z^LAW_T) included."""
+    return st.lists(LAW_RATS, max_size=LAW_T - lo).map(lambda cs: LaurentSeries(lo, cs, LAW_T))
+
+
+def law_combination(draw, m, d, lo=0):
+    basis = m.graded_basis(d)
+    return smat_combine([draw(law_series(lo)) for _ in basis], basis)
+
+
+@st.composite
+def law_gauges(draw, m):
+    """t * exp(u_1) * ... with a drawn subset of torus coordinates (unit constant terms)."""
+    torus = {}
+    for r in range(m.rank):
+        if draw(st.booleans()):
+            c0 = draw(LAW_RATS.filter(lambda x: x != 0))
+            torus[r] = LaurentSeries.constant(c0) + draw(law_series(1))
+    steps = [law_combination(draw, m, d) for d in range(1, m.dmax + 1)]
+    return GaugeElement(m, torus, steps)
+
+
+@st.composite
+def law_opers(draw, m):
+    q = smat_add(smat_from_frac(m.y), law_combination(draw, m, -1, lo=1))
+    for d in range(0, m.dmax + 1):
+        q = smat_add(q, law_combination(draw, m, d))
+    return OperConnection(m, draw(PLANCKS), q)
+
+
+@pytest.mark.parametrize("family,rank", LAW_MODELS)
+class TestGroupLaws:
+    @LAWS
+    @given(data=st.data())
+    def test_compose_is_associative(self, family, rank, data):
+        m = model(family, rank)
+        a, b, c = (data.draw(law_gauges(m)) for _ in range(3))
+        lhs = gauge_compose(gauge_compose(a, b), c)
+        rhs = gauge_compose(a, gauge_compose(b, c))
+        assert lhs.agrees(rhs)
+
+    @LAWS
+    @given(data=st.data())
+    def test_inverse_is_two_sided(self, family, rank, data):
+        b = data.draw(law_gauges(model(family, rank)))
+        binv = gauge_inverse(b)
+        assert gauge_compose(b, binv).is_identity()
+        assert gauge_compose(binv, b).is_identity()
+
+    @LAWS
+    @given(data=st.data())
+    def test_action_of_a_product(self, family, rank, data):
+        m = model(family, rank)
+        conn = data.draw(law_opers(m))
+        a, b = data.draw(law_gauges(m)), data.draw(law_gauges(m))
+        lhs = gauge_apply(gauge_apply(conn, a), b)
+        rhs = gauge_apply(conn, gauge_compose(a, b))
+        assert lhs.planck == rhs.planck and smat_agrees(lhs.q, rhs.q)
+
+    @LAWS
+    @given(data=st.data())
+    def test_canonical_forms_are_fixed_points(self, family, rank, data):
+        m = model(family, rank)
+        v = tuple(Density(data.draw(law_series()), d + 1) for d in m.exponents)
+        cf = CanonicalForm(m, data.draw(PLANCKS), v)
+        g, cf2 = normalize(cf.connection())
+        assert g.is_identity()
+        assert cf2.agrees(cf)

@@ -1,0 +1,83 @@
+"""No library module imports a name it never uses.
+
+The scan reads each module's syntax tree: every name bound by an import
+statement (at any depth) must be read somewhere in the module, as a plain
+name, the base of an attribute, a quoted annotation, or an entry of
+``__all__``.  ``from __future__`` imports bind no name and are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "opercalc"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _quoted_annotations(tree):
+    """Names read inside string annotations such as ``other: "Density"``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            notes = [a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs]
+            notes += [a.annotation for a in (args.vararg, args.kwarg) if a is not None]
+            notes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        else:
+            continue
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                yield from _names(ast.parse(note.value, mode="eval"))
+
+
+def _names(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return set()
+
+
+def unused_imports(source: str):
+    """(line, name) of every imported name the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+    read = _names(tree) | set(_quoted_annotations(tree)) | _exported(tree)
+    return sorted((line, name) for line, name in bound if name not in read)
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "serialize.py", "series.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import os\n", [(1, "os")]),
+    ("import os.path\nos.sep\n", []),
+    ("from typing import Dict, List\nx: List[int] = []\n", [(1, "Dict")]),
+    ("def f():\n    from math import gcd\n    return 1\n", [(2, "gcd")]),
+    ("from .series import Density\ndef f(d: 'Density'): pass\n", []),
+    ("from . import serialize as ser\n", [(1, "ser")]),
+    ("from .x import y\n__all__ = ['y']\n", []),
+    ("from __future__ import annotations\n", []),
+])
+def test_scanner(source, expected):
+    assert unused_imports(source) == expected

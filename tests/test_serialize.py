@@ -215,3 +215,52 @@ class TestValidation:
         broken = dict(base, torus={"x": base["torus"]["0"]})
         with pytest.raises(MalformedInputError):
             ser.gauge_load(broken)
+
+
+class TestCaps:
+    """A value at each input cap loads; one past it is malformed."""
+
+    @pytest.mark.parametrize("field", ["val", "trunc"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_series_orders(self, field, sign):
+        cap = sign * ser.MAX_ORDER
+        doc = {"val": min(0, cap), "coeffs": ["1"], "trunc": None}
+        s = ser.series_load(dict(doc, **{field: cap}))
+        assert getattr(s, field) == cap
+        with pytest.raises(MalformedInputError, match="cap"):
+            ser.series_load(dict(doc, **{field: cap + sign}))
+
+    def test_list_length(self):
+        s = ser.series_load({"val": 0, "coeffs": ["1"] * ser.MAX_ENTRIES})
+        assert len(s.coeffs) == ser.MAX_ENTRIES
+        with pytest.raises(MalformedInputError, match="cap"):
+            ser.series_load({"val": 0, "coeffs": ["1"] * (ser.MAX_ENTRIES + 1)})
+
+    def test_object_size(self):
+        doc = {str(i): 0 for i in range(ser.MAX_ENTRIES)}
+        assert ser.loads(json.dumps(doc)) == doc
+        doc["x"] = 0
+        with pytest.raises(MalformedInputError, match="cap"):
+            ser.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("make", [
+        lambda n: "7" * n,
+        lambda n: "-" + "7" * n,
+        lambda n: "7" * (n // 2) + "/" + "3" * (n - n // 2),
+        lambda n: int("7" * n),
+    ], ids=["int-string", "negative", "fraction", "json-int"])
+    def test_rational_digits(self, make):
+        assert ser.rat_parse(make(ser.MAX_DIGITS)) == F(make(ser.MAX_DIGITS))
+        with pytest.raises(MalformedInputError, match="cap"):
+            ser.rat_parse(make(ser.MAX_DIGITS + 1))
+
+    def test_rational_at_cap_round_trips(self):
+        big = "9" * ser.MAX_DIGITS
+        s = ser.series_load({"val": 0, "coeffs": [big]})
+        assert ser.series_obj(s)["coeffs"] == [big]
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' + "1" * 5000 + "}"],
+                             ids=["deep-nesting", "long-int-literal"])
+    def test_hostile_text_is_malformed(self, text):
+        with pytest.raises(MalformedInputError, match="not valid structured text"):
+            ser.loads(text)
