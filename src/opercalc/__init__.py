@@ -15,7 +15,7 @@ _PUBLIC = {
     ),
     "series": ("Density", "LaurentSeries"),
     "kernels": ("BiKernel",),
-    "lie": ("LieModel", "invariants", "model"),
+    "lie": ("LieModel", "invariants", "model", "moduli_dimension"),
     "diffops": (
         "DiffOp", "PseudoSymbol", "compose", "diffop_from_kernel", "kernel_from_diffop",
         "lie_action", "lie_derivative", "pairing", "pseudo_invert", "symbols", "to_plain",
@@ -24,7 +24,7 @@ _PUBLIC = {
     "gauge": (
         "CanonicalForm", "GaugeElement", "OperConnection", "classify_singularity",
         "desingularize", "embed_sl2", "gauge_apply", "gauge_compose", "gauge_inverse",
-        "hitchin_map", "identity_gauge", "moduli_dimension", "normalize", "normalize_singular",
+        "hitchin_map", "identity_gauge", "normalize", "normalize_singular",
     ),
     "dictionary": (
         "FlaggedSystem", "as_flagged", "companion_system", "companion_torus",

@@ -356,11 +356,9 @@ def cmd_hitchin(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    from .lie import parse_algebra
+    from .lie import moduli_dimension, parse_algebra
 
     algebra = parse_algebra(args.algebra)
-    from .gauge import moduli_dimension
-
     total, rows = moduli_dimension(algebra, args.genus, args.twist)
     print(f"algebra {algebra.describe()} genus {args.genus} twist {args.twist}")
     for d, k, dim in rows:
@@ -377,10 +375,9 @@ def _selftest_cases():
         GaugeElement,
         gauge_apply,
         gauge_compose,
-        moduli_dimension,
         normalize,
     )
-    from .lie import model
+    from .lie import model, moduli_dimension
     from .series import Density, LaurentSeries
 
     one = LaurentSeries.one()

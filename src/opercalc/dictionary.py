@@ -32,9 +32,10 @@ from .matrices import (
     fmat_transpose,
     smat_from_frac,
     smat_mul,
+    smat_truncate,
 )
 from .record import Record
-from .series import Density, LaurentSeries, Rat, _fr, half_integer
+from .series import Density, LaurentSeries, Rat, _fr, half_integer, is_exact_zero
 
 ZERO = LaurentSeries.zero()
 ONE = LaurentSeries.one()
@@ -98,8 +99,7 @@ class FlaggedSystem(Record):
     def truncated(self, trunc: Optional[int]) -> "FlaggedSystem":
         if trunc is None:
             return self
-        mat = tuple(tuple(c.truncate(trunc) for c in row) for row in self.matrix)
-        return FlaggedSystem(mat, self.src, self.tgt, self.planck)
+        return FlaggedSystem(smat_truncate(self.matrix, trunc), self.src, self.tgt, self.planck)
 
     def agrees(self, other: "FlaggedSystem") -> bool:
         return (
@@ -127,7 +127,7 @@ def companion_system(op: DiffOp) -> FlaggedSystem:
         rows[i + 1][i] = ONE
     for i in range(n):
         rows[i][n - 1] = rows[i][n - 1] - op.coeffs[i]
-    return FlaggedSystem(tuple(tuple(r) for r in rows), op.src, op.tgt, op.planck)
+    return FlaggedSystem(rows, op.src, op.tgt, op.planck)
 
 
 def as_flagged(conn: OperConnection) -> FlaggedSystem:
@@ -148,7 +148,7 @@ def _apply_nabla(q: SeriesMatrix, h: Fraction,
     for i, row in enumerate(q):
         acc = h * vec[i].derivative() if h else ZERO
         for j, c in enumerate(row):
-            if not c.is_zero():
+            if not is_exact_zero(c):
                 acc = acc + c * vec[j]
         out.append(acc)
     return out
@@ -359,9 +359,7 @@ def dualize(obj: Union[FlaggedSystem, OperConnection]) -> FlaggedSystem:
     fs.validate()
     n = fs.n
     q = fs.matrix
-    dual = tuple(
-        tuple(-q[n - 1 - j][n - 1 - i] for j in range(n)) for i in range(n)
-    )
+    dual = [[-q[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
     return FlaggedSystem(dual, 1 - fs.tgt, 1 - fs.src, fs.planck)
 
 
@@ -408,11 +406,11 @@ def sl2_to_o3(u: Density, planck: Rat = 1) -> Tuple[OperConnection, DiffOp]:
         raise PreconditionError("a weight-2 density is required")
     h = _fr(planck)
     s = u.series
-    q = (
-        (ZERO, -2 * s, ZERO),
-        (ONE, ZERO, -2 * s),
-        (ZERO, ONE, ZERO),
-    )
+    q = [
+        [ZERO, -2 * s, ZERO],
+        [ONE, ZERO, -2 * s],
+        [ZERO, ONE, ZERO],
+    ]
     conn = OperConnection(lie_model("B", 1), h, q)
     conn.validate()
     lt = DiffOp.from_map(
@@ -487,7 +485,7 @@ def so_even_build(op: DiffOp, f: Density,
     s = f.series
     rows[0][n - 1] = s
     rows[n - 1][n - 2] = -eps * s
-    q = smat_mul(smat_from_frac(Sinv), smat_mul(tuple(map(tuple, rows)), smat_from_frac(S)))
+    q = smat_mul(smat_from_frac(Sinv), smat_mul(rows, smat_from_frac(S)))
     conn = OperConnection(mD, op.planck, q)
     conn.validate()
     so_even_conditions(conn)
@@ -525,15 +523,13 @@ def so_even_conditions(conn: OperConnection):
         raise NotAnOperError("composite through the middle step is not invertible")
 
 
-def _j_pair(mat_j: FracMatrix, a: Sequence[LaurentSeries],
+def _j_pair(signs: Sequence[Fraction], a: Sequence[LaurentSeries],
             b: Sequence[LaurentSeries]) -> LaurentSeries:
+    """a^T J b for the antidiagonal form J with these signs."""
     out = ZERO
     n = len(a)
     for i in range(n):
-        for j in range(n):
-            c = mat_j[i][j]
-            if c:
-                out = out + c * (a[i] * b[j])
+        out = out + signs[i] * (a[i] * b[n - 1 - i])
     return out
 
 
@@ -619,10 +615,9 @@ def so_even_extract(conn: OperConnection,
                 "distinguished section is not horizontal modulo the first flag line"
             )
     f = Density(delta[0], k)
-    j_form = m.J
 
     def project(vec: List[LaurentSeries]) -> List[LaurentSeries]:
-        c = _j_pair(j_form, vec, s)
+        c = _j_pair(m.signs, vec, s)
         if c.is_zero():
             return vec
         return [x - c * y for x, y in zip(vec, s)]

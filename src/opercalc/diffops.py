@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .errors import InsufficientTruncationError, PreconditionError
 from .kernels import BiKernel
-from .series import Density, LaurentSeries, Rat, _fr, half_integer
+from .series import Density, LaurentSeries, Rat, _fr, half_integer, is_exact_zero
 
 ZERO = LaurentSeries.zero()
 
@@ -155,7 +155,7 @@ class PseudoSymbol:
         for i, c in coeffs.items():
             if i > top or i < floor:
                 raise PreconditionError("symbol coefficient outside declared range")
-            if not c.is_zero():
+            if not is_exact_zero(c):
                 cs[i] = c
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "floor", floor)
@@ -228,7 +228,7 @@ def _shifted(i: int, g: LaurentSeries, h: Fraction, floor: int) -> Dict[int, Lau
         c = _gbinom(i, k)
         if c == 0:
             break  # nonnegative i: the sum is finite
-        if not gk.is_zero():
+        if not is_exact_zero(gk):
             out[i - k] = (c * hk) * gk
         if h == 0:
             break

@@ -22,17 +22,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import ceil
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     IdentityCheckError,
     NotAnOperError,
     PreconditionError,
 )
-from .lie import AlgebraType, LieModel, invariants
+from .lie import LieModel, invariants, moduli_dimension
 from .matrices import (
     SeriesMatrix,
-    is_exact_zero,
     smat_add,
     smat_agrees,
     smat_combine,
@@ -48,7 +47,15 @@ from .matrices import (
     smat_zero,
 )
 from .record import Record
-from .series import Density, LaurentSeries
+from .series import Density, LaurentSeries, is_exact_zero
+
+__all__ = [
+    "CanonicalForm", "GaugeElement", "OperConnection", "act_quadratic_differential",
+    "classify_singularity", "desingularize", "desingularize_componentwise", "embed_sl2",
+    "gauge_apply", "gauge_compose", "gauge_inverse", "hitchin_map", "identity_gauge",
+    "moduli_dimension",  # defined in lie, which needs no gauge machinery for it
+    "normalize", "normalize_singular", "steps_from_unipotent",
+]
 
 ONE = LaurentSeries.one()
 
@@ -274,11 +281,12 @@ def _mat_exp(model: LieModel, u: SeriesMatrix) -> SeriesMatrix:
                           lambda k: Fraction(1, k), model.N)
 
 
-def _unipotent_matrix(b: GaugeElement) -> SeriesMatrix:
-    w = smat_identity(b.model.N)
-    for u in b.steps:
+def _unipotent_matrix(model: LieModel, steps: Sequence[SeriesMatrix]) -> SeriesMatrix:
+    """exp(u_1) exp(u_2) ... for the steps in the order given."""
+    w = smat_identity(model.N)
+    for u in steps:
         if not smat_is_exact_zero(u):
-            w = smat_mul(w, _mat_exp(b.model, u))
+            w = smat_mul(w, _mat_exp(model, u))
     return w
 
 
@@ -313,10 +321,10 @@ def gauge_compose(b1: GaugeElement, b2: GaugeElement) -> GaugeElement:
             torus[r] = c
     # t1 W1 t2 W2 = (t1 t2) (Ad(t2^{-1}) W1) W2, and Ad(t^{-1}) scales a root
     # position by the inverse root value.
-    w1 = _unipotent_matrix(b1)
+    w1 = _unipotent_matrix(model, b1.steps)
     if b2.torus:
         w1 = _scale_positions(model, b2.torus, w1, -1)
-    w = smat_mul(w1, _unipotent_matrix(b2))
+    w = smat_mul(w1, _unipotent_matrix(model, b2.steps))
     return GaugeElement(model, torus, steps_from_unipotent(model, w))
 
 
@@ -324,11 +332,8 @@ def gauge_inverse(b: GaugeElement, trunc: Optional[int] = None) -> GaugeElement:
     b.validate()
     model = b.model
     torus = {r: c.inverse(trunc=trunc) for r, c in b.torus.items()}
-    w = _unipotent_matrix(b)
-    # w^{-1} = sum (1 - w)^k, a finite sum for unipotent w
-    d = smat_sub(smat_identity(model.N), w)
-    inv = _nilpotent_sum(smat_identity(model.N), lambda t: smat_mul(t, d),
-                         lambda k: Fraction(1), 2 * model.dmax + 4)
+    # (exp(u_1) ... exp(u_n))^{-1} = exp(-u_n) ... exp(-u_1)
+    inv = _unipotent_matrix(model, [smat_scale(-1, u) for u in reversed(b.steps)])
     winv = _scale_positions(model, b.torus, inv, +1) if b.torus else inv
     return GaugeElement(model, torus, steps_from_unipotent(model, winv))
 
@@ -523,27 +528,3 @@ def hitchin_map(cf: CanonicalForm) -> List[Density]:
     if cf.planck != 0:
         raise PreconditionError("spectral invariants require h = 0")
     return [Density(s, Fraction(k)) for k, s in invariants(cf.model, cf.matrix())]
-
-
-def moduli_dimension(model: Union[LieModel, AlgebraType], genus: int,
-                     deg_twist: int) -> Tuple[int, List[Tuple[int, int, int]]]:
-    """Global parameter count: sum over exponents d of dim H^0(Omega^{d+1}((d+1)D)).
-
-    Only the exponents are read, so an :class:`AlgebraType` serves without a
-    model.  Returns the total and rows (exponent, k, contribution).
-    """
-    if genus < 0 or deg_twist < 0:
-        raise PreconditionError("genus and twist degree must be nonnegative")
-    table = []
-    total = 0
-    for d in model.exponents:
-        k = d + 1
-        if genus == 0:
-            dim = max(0, -2 * k + k * deg_twist + 1)
-        elif genus == 1:
-            dim = 1 if deg_twist == 0 else k * deg_twist
-        else:
-            dim = (2 * k - 1) * (genus - 1) + k * deg_twist
-        table.append((d, k, dim))
-        total += dim
-    return total, table

@@ -12,9 +12,9 @@ ad(y) plus a pinned complement are all computed exactly and cached.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, PreconditionError
 from .matrices import (
     FracMatrix,
     SeriesMatrix,
@@ -39,8 +39,8 @@ FAMILIES = ("A", "B", "C", "D")
 class AlgebraType(Record):
     """A family letter and a rank, with what follows from them alone.
 
-    Building a :class:`LieModel` takes exact elimination over N x N
-    matrices; the matrix size, the exponents and the name need none of it.
+    Building a :class:`LieModel` takes exact elimination on its graded
+    pieces; the matrix size, the exponents and the name need none of it.
     ``model(t.family, t.rank)`` builds the model of a type ``t``.
     """
 
@@ -72,11 +72,28 @@ class AlgebraType(Record):
         return {"A": "sl", "B": "so", "C": "sp", "D": "so"}[self.family] + f"({self.N})"
 
 
-def _unit(n: int, i: int, j: int) -> FracMatrix:
-    return tuple(
-        tuple(Fraction(1) if (a, b) == (i, j) else Fraction(0) for b in range(n))
-        for a in range(n)
-    )
+def moduli_dimension(model: Union[LieModel, AlgebraType], genus: int,
+                     deg_twist: int) -> Tuple[int, List[Tuple[int, int, int]]]:
+    """Global parameter count: sum over exponents d of dim H^0(Omega^{d+1}((d+1)D)).
+
+    Only the exponents are read, so an :class:`AlgebraType` serves without a
+    model.  Returns the total and rows (exponent, k, contribution).
+    """
+    if genus < 0 or deg_twist < 0:
+        raise PreconditionError("genus and twist degree must be nonnegative")
+    table = []
+    total = 0
+    for d in model.exponents:
+        k = d + 1
+        if genus == 0:
+            dim = max(0, -2 * k + k * deg_twist + 1)
+        elif genus == 1:
+            dim = 1 if deg_twist == 0 else k * deg_twist
+        else:
+            dim = (2 * k - 1) * (genus - 1) + k * deg_twist
+        table.append((d, k, dim))
+        total += dim
+    return total, table
 
 
 class LieModel:
@@ -91,14 +108,12 @@ class LieModel:
         self.rank = rank
         self.N = N = self.type.N
 
-        if family == "A":
-            self.J: Optional[FracMatrix] = None
-        else:
-            sign = (lambda i: Fraction((-1) ** i)) if family in ("B", "C") else (lambda i: Fraction(1))
-            self.J = tuple(
-                tuple(sign(i) if i + j == N - 1 else Fraction(0) for j in range(N))
-                for i in range(N)
-            )
+        # B, C and D preserve the antidiagonal form J = sum_i s_i E_{i, N-1-i}
+        self.signs: Optional[List[Fraction]] = None
+        self.J: Optional[FracMatrix] = None
+        if family != "A":
+            self.signs = [Fraction((-1) ** i if family in ("B", "C") else 1) for i in range(N)]
+            self.J = self._matrix({(i, N - 1 - i): s for i, s in enumerate(self.signs)})
 
         if family == "D":
             half = [Fraction(2 * (rank - i)) for i in range(1, rank + 1)]
@@ -107,9 +122,7 @@ class LieModel:
             self.hdiag = [Fraction(N + 1 - 2 * i) for i in range(1, N + 1)]
         if any((a - b) % 2 != 0 for a in self.hdiag for b in self.hdiag):
             raise AssertionError("grading element must have uniform parity")
-        self.h = tuple(
-            tuple(self.hdiag[i] if i == j else Fraction(0) for j in range(N)) for i in range(N)
-        )
+        self.h = self._matrix({(i, i): x for i, x in enumerate(self.hdiag)})
 
         self.exponents = self.type.exponents
         self.dmax = max(self.exponents)
@@ -122,23 +135,26 @@ class LieModel:
 
     # -- construction of the principal triple ---------------------------------
 
-    def project(self, X: FracMatrix) -> FracMatrix:
-        """Projection onto the model along the form-odd / trace part."""
-        if self.family == "A":
-            n = self.N
-            tr = sum(X[i][i] for i in range(n)) / n
-            return tuple(
-                tuple(X[i][j] - (tr if i == j else 0) for j in range(n)) for i in range(n)
-            )
-        # theta = J^-1 X^T J; J is antidiagonal with signs s_i = J[i][N-1-i] = +-1,
-        # so J^-1 = J^T and theta[i][j] = s[N-1-i] s[N-1-j] X[N-1-j][N-1-i]
+    def _mate(self, i: int, j: int) -> Tuple[Tuple[int, int], Fraction]:
+        """The position tied to (i, j) by the form, and c with X[mate] = c X[i][j].
+
+        X^T J + J X = 0 reads X[N-1-j][N-1-i] = -s_i s_j X[i][j], as J^T = +-J.
+        """
         N = self.N
-        s = [self.J[i][N - 1 - i] for i in range(N)]
-        return tuple(
-            tuple((X[i][j] - s[N - 1 - i] * s[N - 1 - j] * X[N - 1 - j][N - 1 - i]) / 2
-                  for j in range(N))
-            for i in range(N)
-        )
+        return (N - 1 - j, N - 1 - i), -self.signs[i] * self.signs[j]
+
+    def _pair_vector(self, i: int, j: int) -> FracMatrix:
+        """E_ij plus c times its mate: the model vector with a 1 at (i, j)."""
+        entries = {(i, j): Fraction(1)}
+        if self.signs is not None:
+            mate, c = self._mate(i, j)
+            entries[mate] = c
+        return self._matrix(entries)
+
+    def _matrix(self, entries: Dict[Tuple[int, int], Fraction]) -> FracMatrix:
+        """The N x N rational matrix with these entries and zeros elsewhere."""
+        return tuple(tuple(entries.get((i, j), Fraction(0)) for j in range(self.N))
+                     for i in range(self.N))
 
     def _simple_classes(self) -> List[Tuple[int, int]]:
         """Representative matrix position (0-based) of each simple root."""
@@ -147,19 +163,11 @@ class LieModel:
             return [(r, r + 1) for r in range(n)]
         return [(r, r + 1) for r in range(n - 1)] + [(n - 2, n)]
 
-    def _root_vector(self, pos: Tuple[int, int]) -> FracMatrix:
-        i, j = pos
-        e = self.project(_unit(self.N, i, j))
-        c = e[i][j]
-        if c == 0:
-            raise AssertionError("projection killed a simple root position")
-        return tuple(tuple(x / c for x in row) for row in e)
-
     def _init_root_vectors(self):
         reps = self._simple_classes()
         self.simple_positions = reps
-        self.e_vectors = [self._root_vector(p) for p in reps]
-        self.f_vectors = [self._root_vector((j, i)) for (i, j) in reps]
+        self.e_vectors = [self._pair_vector(i, j) for (i, j) in reps]
+        self.f_vectors = [self._pair_vector(j, i) for (i, j) in reps]
         self.x = fmat_combine([Fraction(1)] * self.rank, self.e_vectors)
         # y = sum c_r f_r with [x, y] = h; only [e_r, f_r] hits the diagonal
         cols = []
@@ -215,39 +223,26 @@ class LieModel:
         return tuple(out)
 
     def graded_basis(self, d: int) -> List[FracMatrix]:
-        """Basis of the degree-d part of the model, from the form constraints."""
+        """Basis of the degree-d part of the model, one vector per free position.
+
+        For B, C and D a position whose mate comes earlier in row-major order
+        gives its pair vector; a position that is its own mate gives one only
+        when c = 1.  For A the units span every d != 0, and the E_pp - E_00
+        span the traceless diagonal.
+        """
         if d in self._graded:
             return self._graded[d]
-        pos = self.positions_of_grade(d)
-        if not pos:
-            self._graded[d] = []
-            return []
-        if self.family == "A":
-            cons = [[Fraction(1 if i == j else 0) for (i, j) in pos]] if d == 0 else []
+        if self.family == "A" and d == 0:
+            basis = [self._matrix({(p, p): Fraction(1), (0, 0): Fraction(-1)})
+                     for p in range(1, self.N)]
         else:
-            cons = []
-            for a in range(self.N):
-                for b in range(self.N):
-                    # entry (a, b) of X^T J + J X, evaluated on X = E_{ij}
-                    row = []
-                    for (i, j) in pos:
-                        v = Fraction(0)
-                        if a == j:
-                            v += self.J[i][b]
-                        if b == j:
-                            v += self.J[a][i]
-                        row.append(v)
-                    if any(x != 0 for x in row):
-                        cons.append(row)
-        vecs = nullspace(cons) if cons else [
-            [Fraction(1 if k == t else 0) for k in range(len(pos))] for t in range(len(pos))
-        ]
-        basis = []
-        for v in vecs:
-            m = [[Fraction(0)] * self.N for _ in range(self.N)]
-            for (i, j), c in zip(pos, v):
-                m[i][j] = c
-            basis.append(tuple(tuple(r) for r in m))
+            basis = []
+            for i, j in self.positions_of_grade(d):
+                if self.signs is not None:
+                    mate, c = self._mate(i, j)
+                    if mate > (i, j) or (mate == (i, j) and c != 1):
+                        continue
+                basis.append(self._pair_vector(i, j))
         self._graded[d] = basis
         return basis
 
@@ -350,9 +345,9 @@ class LieModel:
         N = self.N
         if self.family == "A":
             return sum((q[i][i] for i in range(N)), LaurentSeries.zero()).is_zero()
-        # J is antidiagonal with signs s: (q^T J + J q)[a][b] is s[N-1-b] q[N-1-b][a]
-        # + s[a] q[N-1-a][b], and J^T = +-J, so a <= b suffice
-        s = [self.J[i][N - 1 - i] for i in range(N)]
+        # (q^T J + J q)[a][b] is s[N-1-b] q[N-1-b][a] + s[a] q[N-1-a][b], and
+        # J^T = +-J, so a <= b suffice
+        s = self.signs
         return all((s[N - 1 - b] * q[N - 1 - b][a] + s[a] * q[N - 1 - a][b]).is_zero()
                    for a in range(N) for b in range(a, N))
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .series import LaurentSeries
+from .series import LaurentSeries, is_exact_zero
 
 FracMatrix = Tuple[Tuple[Fraction, ...], ...]
 SeriesMatrix = List[List[LaurentSeries]]
@@ -23,11 +23,6 @@ SeriesMatrix = List[List[LaurentSeries]]
 
 def fmat_sub(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def fmat_scale(c, a: FracMatrix) -> FracMatrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 _ZERO = Fraction(0)
@@ -143,15 +138,6 @@ def smat_zero(n: int, m: Optional[int] = None) -> SeriesMatrix:
 def smat_identity(n: int) -> SeriesMatrix:
     return [[LaurentSeries.one() if i == j else LaurentSeries.zero() for j in range(n)]
             for i in range(n)]
-
-
-def is_exact_zero(x: LaurentSeries) -> bool:
-    """Exactly 0: no certified coefficient and no truncation order to carry.
-
-    A truncated zero O(z^k) is not exact; it must still take part in products
-    and sums, because its order bounds what the result certifies.
-    """
-    return not x.nums and x.trunc is None
 
 
 def smat_is_exact_zero(a: SeriesMatrix) -> bool:

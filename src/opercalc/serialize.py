@@ -35,6 +35,11 @@ MAX_ENTRIES = 10_000  # items in one array or object
 # decimal digits of one rational, numerator and denominator together; below
 # CPython's default limit of 4300 digits on int <-> str conversion
 MAX_DIGITS = 4_000
+# rank of an algebra named in a file, whose model is built before the rest of
+# the file is checked; the build grows steeply with the rank, and C:12, the
+# slowest family at the cap, takes about 0.6 s with every Kostant splitting
+# (Python 3.11.7, 2 vCPUs)
+MAX_RANK = 12
 _INT_CAP = 10**MAX_DIGITS
 
 
@@ -173,7 +178,10 @@ def algebra_load(obj) -> LieModel:
     fam = obj.get("type")
     if fam not in ("A", "B", "C", "D"):
         raise MalformedInputError(f"unknown algebra type {fam!r}")
-    return model(fam, _int(obj.get("rank"), "algebra rank"))
+    rank = _int(obj.get("rank"), "algebra rank")
+    if rank > MAX_RANK:
+        raise MalformedInputError(f"algebra rank {rank} is over the cap of {MAX_RANK}")
+    return model(fam, rank)
 
 
 def matrix_obj(q) -> list:
@@ -182,7 +190,7 @@ def matrix_obj(q) -> list:
 
 def matrix_load(obj):
     rows = _list(obj, "matrix")
-    return tuple(tuple(series_load(c) for c in _list(r, "matrix row")) for r in rows)
+    return [[series_load(c) for c in _list(r, "matrix row")] for r in rows]
 
 
 # -- connections, canonical forms, gauges -------------------------------------------
@@ -275,14 +283,13 @@ def gauge_obj(b: GaugeElement) -> dict:
     }
 
 
-def gauge_load(obj, m: Optional[LieModel] = None) -> GaugeElement:
+def gauge_load(obj) -> GaugeElement:
     from .gauge import GaugeElement
 
     obj = _dict(obj, "gauge")
-    if m is None:
-        if "algebra" not in obj:
-            raise MalformedInputError("gauge file does not name its algebra")
-        m = algebra_load(obj["algebra"])
+    if "algebra" not in obj:
+        raise MalformedInputError("gauge file does not name its algebra")
+    m = algebra_load(obj["algebra"])
     try:
         torus = {
             int(r): series_load(s)

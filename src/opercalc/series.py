@@ -505,6 +505,15 @@ class LaurentSeries:
         return body + tail
 
 
+def is_exact_zero(x: LaurentSeries) -> bool:
+    """Exactly 0: no certified coefficient and no truncation order to carry.
+
+    A truncated zero O(z^k) is not exact; it must still take part in products
+    and sums, because its order bounds what the result certifies.
+    """
+    return not x.nums and x.trunc is None
+
+
 def _series(val: int, nums: Sequence[int], den: int, trunc: Optional[int]) -> LaurentSeries:
     """The series val + nums/den cut at trunc: every arithmetic result is built here."""
     return object.__new__(LaurentSeries)._fill(val, nums, den, trunc)

@@ -327,6 +327,17 @@ class TestTables:
         assert lines[-1] == f"total {100000**2 + 2 * 100000}"  # sum of 2d + 1, d = 1..n
         assert ("A", 100000) not in lie._MODELS
 
+    def test_file_over_the_rank_cap_exits_1_without_a_model(self, tmp_path, capsys):
+        # 86 bytes that would otherwise build the model of A:48 first
+        src = tmp_path / "big.json"
+        src.write_text('{"format": "canonical", "algebra": {"type": "A", "rank": 48}, '
+                       '"planck": "1", "v": []}')
+        start = time.perf_counter()
+        code, out, err = run(["classify", src], capsys)
+        assert code == 1 and out == "" and time.perf_counter() - start < 5
+        assert "over the cap" in err and len(err.splitlines()) == 1
+        assert ("A", 48) not in lie._MODELS
+
     def test_dims_unknown_algebra_exits_1(self, capsys):
         code, out, err = run(["dims", "--algebra", "Q:2", "--genus", "2"], capsys)
         assert code == 1 and out == ""

@@ -153,6 +153,13 @@ class TestReadoffRoundTrips:
                 fs.validate()
                 assert diffop_from_oper(fs, trunc=20).agrees(op)
 
+    def test_gl_read_off_keeps_a_truncated_zero(self):
+        # D^2 + O(z^5): the companion carries O(z^5), so must the read-off
+        op = DiffOp.from_map({2: ONE, 0: ZERO.truncate(5)}, F(-1, 2), F(3, 2))
+        back = diffop_from_oper(companion_system(op))
+        assert back.agrees(op) and back.coeffs[2] == ONE
+        assert back.coeffs[0].trunc == 5
+
     def test_gl_kind_tag(self):
         op = rnd_monic(random.Random(1), 2)
         fs = companion_system(op)

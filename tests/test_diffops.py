@@ -194,6 +194,23 @@ class TestTranspose:
             )
 
 
+class TestTruncatedZeros:
+    """A coefficient O(z^k) is unknown from order k on, not zero: it bounds
+    what every result built from it certifies."""
+
+    def test_compose_keeps_a_truncated_zero(self):
+        D = DiffOp.from_map({1: ONE}, 0, 1)
+        out = compose(D, DiffOp.from_map({1: ONE, 0: ZERO.truncate(5)}, -1, 0))
+        # D . O(z^5) = O(z^5) D + O(z^4)
+        assert [c.trunc for c in out.coeffs] == [4, 5, None]
+        assert out.coeffs[2] == ONE and not out.coeffs[0].is_exact()
+
+    def test_transpose_keeps_a_truncated_zero(self):
+        out = transpose(DiffOp.from_map({1: ONE, 0: ZERO.truncate(5)}, 0, 1))
+        assert [c.trunc for c in out.coeffs] == [5, None]
+        assert out.coeffs[1] == -ONE
+
+
 class TestSymbols:
     def test_principal_and_defect(self):
         rng = random.Random(31)

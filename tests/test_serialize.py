@@ -15,8 +15,16 @@ from opercalc import __version__
 from opercalc import serialize as ser
 from opercalc.diffops import DiffOp, kernel_from_diffop
 from opercalc.errors import MalformedInputError
-from opercalc.gauge import CanonicalForm, GaugeElement, OperConnection, normalize
+from opercalc.dictionary import oper_from_diffop
+from opercalc.gauge import (
+    CanonicalForm,
+    GaugeElement,
+    OperConnection,
+    gauge_apply,
+    normalize,
+)
 from opercalc.lie import model
+from opercalc.matrices import smat_combine
 from opercalc.series import Density, LaurentSeries
 
 Z = LaurentSeries.monomial(1, 1)
@@ -100,6 +108,27 @@ class TestRoundTrips:
         assert got.torus.keys() == g.torus.keys()
         assert all(got.torus[r] == g.torus[r] for r in g.torus)
         assert len(got.steps) == len(g.steps)
+
+    @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("D", 3)])
+    def test_connection_and_gauge_load_back_equal(self, family, rank):
+        # every series matrix is a list of lists, so a file reads back ==
+        m = model(family, rank)
+        dens = tuple(Density(ONE + Z * U if d % 2 else CUT, d + 1) for d in m.exponents)
+        conn = CanonicalForm(m, F(1, 2), dens).connection()
+        self.check(conn, ser.connection_obj, ser.connection_load)
+        u1 = smat_combine([Z] * len(m.graded_basis(1)), m.graded_basis(1))
+        moved = gauge_apply(conn, GaugeElement(m, {0: ONE + Z}, [u1]), trunc=6)
+        g, _ = normalize(moved, trunc=6)
+        self.check(g, ser.gauge_obj, ser.gauge_load)
+        self.check(ser.connection_load(ser.connection_obj(moved)), ser.connection_obj,
+                   ser.connection_load)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_sl_connection_loads_back_equal(self, order):
+        a = F(1 - order, 2)
+        conn = oper_from_diffop(DiffOp.from_map({order: ONE, 0: U}, a, a + order), "sl")
+        assert all(type(row) is list for row in conn.q) and type(conn.q) is list
+        self.check(conn, ser.connection_obj, ser.connection_load)
 
     def test_diffop(self):
         op = DiffOp.from_map({3: ONE, 1: U, 0: CUT}, -1, 2, F(1, 2))
@@ -229,6 +258,12 @@ class TestCaps:
         assert getattr(s, field) == cap
         with pytest.raises(MalformedInputError, match="cap"):
             ser.series_load(dict(doc, **{field: cap + sign}))
+
+    def test_algebra_rank(self):
+        assert ser.algebra_load({"type": "A", "rank": ser.MAX_RANK}).rank == ser.MAX_RANK
+        for fam in "ABCD":
+            with pytest.raises(MalformedInputError, match="cap"):
+                ser.algebra_load({"type": fam, "rank": ser.MAX_RANK + 1})
 
     def test_list_length(self):
         s = ser.series_load({"val": 0, "coeffs": ["1"] * ser.MAX_ENTRIES})
