@@ -336,7 +336,7 @@ def pseudo_invert(op: DiffOp, depth: int, trunc: Optional[int] = None) -> Pseudo
             partial = PseudoSymbol(-n, -n - j, op.tgt, op.src, h, coeffs, False)
             cur = compose(op, partial).coeffs.get(-j, ZERO)
         diff = (one if j == 0 else ZERO) - cur
-        if not diff.is_zero():
+        if not is_exact_zero(diff):
             coeffs[-n - j] = diff * inv_lead
     return PseudoSymbol(-n, -n - depth, op.tgt, op.src, h, coeffs, False)
 

@@ -102,12 +102,14 @@ class GaugeElement(Record):
                 raise PreconditionError(f"no simple root with index {r}")
             if c.is_zero():
                 raise PreconditionError("torus coordinate with no certified leading term")
-        N = self.model.N
+        N, grades = self.model.N, self.model.grades
         for i, u in enumerate(self.steps):
+            if len(u) != N or any(len(row) != N for row in u):
+                raise PreconditionError(f"step {i + 1} is not {N} x {N}")
             # off degree i+1 a step is exactly 0; a truncated zero there would
             # keep e^{-ad u} from reaching an exactly vanishing term
-            if not all(is_exact_zero(u[a][b]) for a in range(N) for b in range(N)
-                       if self.model.grade(a, b) != i + 1):
+            if not all(is_exact_zero(x) for row, degs in zip(u, grades)
+                       for x, d in zip(row, degs) if d != i + 1):
                 raise PreconditionError(f"step {i + 1} is not homogeneous of degree {i + 1}")
             if not self.model.in_model(u):
                 raise PreconditionError(f"step {i + 1} violates the algebra constraints")
@@ -276,18 +278,23 @@ def gauge_apply(conn: OperConnection, b: GaugeElement, deriv: Optional[LaurentSe
 # -- composition in the gauge group ----------------------------------------------
 
 
-def _mat_exp(model: LieModel, u: SeriesMatrix) -> SeriesMatrix:
-    return _nilpotent_sum(smat_identity(model.N), lambda t: smat_mul(t, u),
-                          lambda k: Fraction(1, k), model.N)
+def _exp_minus_one(model: LieModel, u: SeriesMatrix) -> SeriesMatrix:
+    """exp(u) - 1 = u + u^2/2 + ...: a unipotent element less its unit diagonal."""
+    return _nilpotent_sum(u, lambda t: smat_mul(t, u), lambda k: Fraction(1, k + 1), model.N)
 
 
-def _unipotent_matrix(model: LieModel, steps: Sequence[SeriesMatrix]) -> SeriesMatrix:
-    """exp(u_1) exp(u_2) ... for the steps in the order given."""
-    w = smat_identity(model.N)
+def _group_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
+    """(1 + a)(1 + b) - 1 = a + b + ab, so no product meets the unit diagonal."""
+    return smat_add(smat_add(a, b), smat_mul(a, b))
+
+
+def _unipotent_part(model: LieModel, steps: Sequence[SeriesMatrix]) -> SeriesMatrix:
+    """exp(u_1) exp(u_2) ... - 1 for the steps in the order given."""
+    a = smat_zero(model.N)
     for u in steps:
         if not smat_is_exact_zero(u):
-            w = smat_mul(w, _mat_exp(model, u))
-    return w
+            a = _group_mul(a, _exp_minus_one(model, u))
+    return a
 
 
 def steps_from_unipotent(model: LieModel, w: SeriesMatrix) -> List[SeriesMatrix]:
@@ -296,13 +303,18 @@ def steps_from_unipotent(model: LieModel, w: SeriesMatrix) -> List[SeriesMatrix]
     u_d is read from w at the degree-d pivots (the identity has degree 0);
     input outside the group of the model leaves a nonzero residual w - 1.
     """
+    return _peel(model, smat_sub(w, smat_identity(model.N)))
+
+
+def _peel(model: LieModel, a: SeriesMatrix) -> List[SeriesMatrix]:
+    """:func:`steps_from_unipotent` of the element 1 + a."""
     steps = []
     for d in range(1, model.dmax + 1):
-        u = smat_combine(model.coords(d, w), model.graded_basis(d))
+        u = smat_combine(model.coords(d, a), model.graded_basis(d))
         steps.append(u)
         if not smat_is_exact_zero(u):
-            w = smat_mul(_mat_exp(model, smat_scale(-1, u)), w)
-    if not smat_is_zero(smat_sub(w, smat_identity(model.N))):
+            a = _group_mul(_exp_minus_one(model, smat_scale(-1, u)), a)
+    if not smat_is_zero(a):
         raise PreconditionError("matrix is not in the unipotent group of the model")
     return steps
 
@@ -320,12 +332,12 @@ def gauge_compose(b1: GaugeElement, b2: GaugeElement) -> GaugeElement:
         if not (c.is_exact() and c == ONE):
             torus[r] = c
     # t1 W1 t2 W2 = (t1 t2) (Ad(t2^{-1}) W1) W2, and Ad(t^{-1}) scales a root
-    # position by the inverse root value.
-    w1 = _unipotent_matrix(model, b1.steps)
+    # position by the inverse root value; each W is carried as W - 1.
+    a1 = _unipotent_part(model, b1.steps)
     if b2.torus:
-        w1 = _scale_positions(model, b2.torus, w1, -1)
-    w = smat_mul(w1, _unipotent_matrix(model, b2.steps))
-    return GaugeElement(model, torus, steps_from_unipotent(model, w))
+        a1 = _scale_positions(model, b2.torus, a1, -1)
+    a = _group_mul(a1, _unipotent_part(model, b2.steps))
+    return GaugeElement(model, torus, _peel(model, a))
 
 
 def gauge_inverse(b: GaugeElement, trunc: Optional[int] = None) -> GaugeElement:
@@ -333,9 +345,10 @@ def gauge_inverse(b: GaugeElement, trunc: Optional[int] = None) -> GaugeElement:
     model = b.model
     torus = {r: c.inverse(trunc=trunc) for r, c in b.torus.items()}
     # (exp(u_1) ... exp(u_n))^{-1} = exp(-u_n) ... exp(-u_1)
-    inv = _unipotent_matrix(model, [smat_scale(-1, u) for u in reversed(b.steps)])
-    winv = _scale_positions(model, b.torus, inv, +1) if b.torus else inv
-    return GaugeElement(model, torus, steps_from_unipotent(model, winv))
+    inv = _unipotent_part(model, [smat_scale(-1, u) for u in reversed(b.steps)])
+    if b.torus:
+        inv = _scale_positions(model, b.torus, inv, +1)
+    return GaugeElement(model, torus, _peel(model, inv))
 
 
 # -- normalization -----------------------------------------------------------------

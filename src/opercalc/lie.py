@@ -31,7 +31,7 @@ from .matrices import (
     solve_exact,
 )
 from .record import Record
-from .series import LaurentSeries
+from .series import LaurentSeries, is_exact_zero
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -123,6 +123,9 @@ class LieModel:
         if any((a - b) % 2 != 0 for a in self.hdiag for b in self.hdiag):
             raise AssertionError("grading element must have uniform parity")
         self.h = self._matrix({(i, i): x for i, x in enumerate(self.hdiag)})
+        # degree of each matrix position, read on every gauge step
+        self.grades = [[int(a - b) // 2 for b in self.hdiag] for a in self.hdiag]
+        self._root_coords: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
         self.exponents = self.type.exponents
         self.dmax = max(self.exponents)
@@ -206,21 +209,22 @@ class LieModel:
     # -- gradings ---------------------------------------------------------------
 
     def grade(self, i: int, j: int) -> int:
-        d = self.hdiag[i] - self.hdiag[j]
-        return int(d) // 2
+        return self.grades[i][j]
 
     def positions_of_grade(self, d: int) -> List[Tuple[int, int]]:
         return [(i, j) for i in range(self.N) for j in range(self.N) if self.grade(i, j) == d]
 
     def root_coords(self, i: int, j: int) -> Tuple[int, ...]:
         """Coordinates of the position weight in the simple root basis."""
-        out = []
-        for w in self.coweights:
-            m = w[i] - w[j]
-            if m.denominator != 1:
-                raise AssertionError("non-integral root coordinate")
-            out.append(int(m))
-        return tuple(out)
+        if (i, j) not in self._root_coords:
+            out = []
+            for w in self.coweights:
+                m = w[i] - w[j]
+                if m.denominator != 1:
+                    raise AssertionError("non-integral root coordinate")
+                out.append(int(m))
+            self._root_coords[(i, j)] = tuple(out)
+        return self._root_coords[(i, j)]
 
     def graded_basis(self, d: int) -> List[FracMatrix]:
         """Basis of the degree-d part of the model, one vector per free position.
@@ -346,10 +350,17 @@ class LieModel:
         if self.family == "A":
             return sum((q[i][i] for i in range(N)), LaurentSeries.zero()).is_zero()
         # (q^T J + J q)[a][b] is s[N-1-b] q[N-1-b][a] + s[a] q[N-1-a][b], and
-        # J^T = +-J, so a <= b suffice
+        # J^T = +-J, so a <= b suffice; the signs are +-1, so the sum vanishes
+        # exactly when q[N-1-b][a] + s[N-1-b] s[a] q[N-1-a][b] does
         s = self.signs
-        return all((s[N - 1 - b] * q[N - 1 - b][a] + s[a] * q[N - 1 - a][b]).is_zero()
-                   for a in range(N) for b in range(a, N))
+        for a in range(N):
+            for b in range(a, N):
+                x, y = q[N - 1 - b][a], q[N - 1 - a][b]
+                if is_exact_zero(x) and is_exact_zero(y):
+                    continue
+                if not (x + y if s[N - 1 - b] == s[a] else x - y).is_zero():
+                    return False
+        return True
 
     def grade_parts(self, q: SeriesMatrix) -> Dict[int, SeriesMatrix]:
         """Split a matrix positionwise by grading; zero entries are dropped."""

@@ -4,6 +4,11 @@ Two kinds of matrices appear: structure matrices over Q (nested tuples of
 Fraction) and matrices of series (nested lists of LaurentSeries).  Structure
 matrices support elimination, solving and nullspaces; series matrices only
 need the ring operations and evaluation against rational structure data.
+
+Series matrices skip exact-zero entries everywhere.  A product entry with
+one nonzero term is that one series product; one with more is a single
+:func:`opercalc.series.dot`, which packs all its terms into one big-int sum
+and builds one series per entry, with the certified order of the sum.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .series import LaurentSeries, is_exact_zero
+from .series import LaurentSeries, dot, is_exact_zero
 
 FracMatrix = Tuple[Tuple[Fraction, ...], ...]
 SeriesMatrix = List[List[LaurentSeries]]
@@ -155,20 +160,27 @@ def smat_sub(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
 
 
 def smat_scale(c, a: SeriesMatrix) -> SeriesMatrix:
-    return [[x if is_exact_zero(x) else c * x for x in row] for row in a]
+    return [[x if is_exact_zero(x) else x * c for x in row] for row in a]
 
 
 def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    """a * b, skipping exact-zero factors; each entry sums its terms in index order."""
+    """a * b over the nonzero terms of each entry: one term is a product, more a :func:`dot`."""
     rows_b = [[(j, y) for j, y in enumerate(row) if not is_exact_zero(y)] for row in b]
-    out = smat_zero(len(a), len(b[0]))
-    for row_a, row_out in zip(a, out):
+    zero = LaurentSeries.zero()
+    out = []
+    for row_a in a:
+        terms = {}
         for x, row_b in zip(row_a, rows_b):
-            if is_exact_zero(x):
-                continue
-            for j, y in row_b:
-                acc = row_out[j]
-                row_out[j] = x * y if is_exact_zero(acc) else acc + x * y
+            if row_b and not is_exact_zero(x):
+                for j, y in row_b:
+                    if j in terms:
+                        terms[j].append((x, y))
+                    else:
+                        terms[j] = [(x, y)]
+        row = [zero] * len(b[0])
+        for j, t in terms.items():
+            row[j] = t[0][0] * t[0][1] if len(t) == 1 else dot(t)
+        out.append(row)
     return out
 
 
@@ -202,7 +214,7 @@ def smat_combine(coords: Sequence[LaurentSeries], basis: Sequence[FracMatrix]) -
         for i in range(n):
             for j in range(m):
                 if mat[i][j] != 0:
-                    out[i][j] = out[i][j] + mat[i][j] * c
+                    out[i][j] = out[i][j] + c * mat[i][j]
     return out
 
 
@@ -213,6 +225,6 @@ def apply_frac(a: FracMatrix, v: Sequence[LaurentSeries]) -> List[LaurentSeries]
         acc = LaurentSeries.zero()
         for c, s in zip(row, v):
             if c != 0:
-                acc = acc + c * s
+                acc = acc + s * c
         out.append(acc)
     return out

@@ -15,6 +15,15 @@ leading zero, no stored trailing zero (the certified zeros up to ``trunc``
 are implicit) and ``den == 1`` when ``nums`` is empty.  Arithmetic works on
 these ints; ``coeffs`` is a read-only view of the coefficients as
 ``fractions.Fraction``, zero-padded up to ``trunc``.
+
+Products run on one integer kernel, Kronecker substitution: a coefficient
+list is evaluated at 2^k as one Python int, with the slot width k derived
+from the operand sizes so that every signed output coefficient fits, and one
+big-int product is read back slot by slot.  A monomial factor only scales,
+and operands of fewer than four terms are convolved term by term.  A sum of
+products, :func:`dot`, brings its terms over one common denominator and
+packs them all into one integer, so an entry of a series-matrix product is
+built by one ``_series`` call, not by one per product and per partial sum.
 """
 
 from __future__ import annotations
@@ -124,11 +133,57 @@ def unit_power(eps: Sequence, e: Fraction, zero, one, a0: int = 1) -> Tuple[list
     return G, S
 
 
+_SCHOOL = 4  # a shorter operand is convolved term by term, not packed
+
+
+def _pack(xs: Sequence[int], k: int) -> int:
+    """sum_i xs[i] 2^(k i): the integer list evaluated at 2^k, signs kept."""
+    acc = 0
+    for x in reversed(xs):
+        acc = (acc << k) + x
+    return acc
+
+
+def _unpack(c: int, kb: int, n: int) -> List[int]:
+    """The first n signed kb-byte slots of c, each under 2^(8 kb - 1) in absolute value.
+
+    Adding 2^(8 kb - 1) to every slot makes them all nonnegative, so no
+    borrow crosses a slot and each is read on its own.
+    """
+    half = 1 << (8 * kb - 1)
+    c += int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
+    buf = (c & ((1 << (8 * kb * n)) - 1)).to_bytes(kb * n, "little")
+    return [int.from_bytes(buf[i:i + kb], "little") - half for i in range(0, kb * n, kb)]
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for signed coefficients of absolute value at most bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _maxabs(xs: Sequence[int]) -> int:
+    return max(max(xs), -min(xs)) if xs else 0
+
+
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
-    """The first n coefficients of the product of two integer coefficient lists."""
+    """The first n coefficients of the product of two integer coefficient lists.
+
+    Kronecker substitution: both lists are evaluated at 2^k, with k wide
+    enough for every signed output coefficient, the two integers are
+    multiplied once and the product is read back slot by slot.  A shorter
+    operand is run term by term instead, and a monomial only scales.
+    """
+    a, b = a[:n], b[:n]
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) >= _SCHOOL:
+        kb = _slot_bytes(len(a) * _maxabs(a) * _maxabs(b))
+        return _unpack(_pack(a, 8 * kb) * _pack(b, 8 * kb), kb, n)
+    if len(a) == 1:
+        c = a[0]
+        return [c * y for y in b] + [0] * (n - len(b))
     out = [0] * n
-    b = b[:n]
-    for i, x in enumerate(a[:n]):
+    for i, x in enumerate(a):
         if x:
             j = i + len(b)
             out[i:j] = map(add, out[i:j], map(mul, b[: n - i], repeat(x)))
@@ -512,6 +567,45 @@ def is_exact_zero(x: LaurentSeries) -> bool:
     and sums, because its order bounds what the result certifies.
     """
     return not x.nums and x.trunc is None
+
+
+def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]]) -> LaurentSeries:
+    """sum x * y over the pairs, built as one series with the certified order of the sum.
+
+    Every product is brought over one common denominator and packed at one
+    slot width (see :func:`_convolve`), so the whole sum is a single integer
+    of shifted big-int products, read back once; exact-zero factors are
+    skipped and a monomial factor only scales the packed other factor.
+    """
+    terms = [(x, y) for x, y in pairs if not (is_exact_zero(x) or is_exact_zero(y))]
+    if not terms:
+        return _ZERO
+    t = lo = hi = None
+    for x, y in terms:
+        if x.trunc is not None:
+            t = _tmin(t, x.trunc + y.val)
+        if y.trunc is not None:
+            t = _tmin(t, y.trunc + x.val)
+        v = x.val + y.val
+        top = v + len(x.nums) + len(y.nums) - 1
+        lo = v if lo is None else min(lo, v)
+        hi = top if hi is None else max(hi, top)
+    if t is not None:
+        hi = min(hi, t)
+    n = max(0, hi - lo)
+    den = lcm(*[x.den * y.den for x, y in terms])
+    scales = [den // (x.den * y.den) for x, y in terms]
+    bound = 0
+    for (x, y), s in zip(terms, scales):
+        bound += s * min(len(x.nums), len(y.nums)) * _maxabs(x.nums) * _maxabs(y.nums)
+    kb = _slot_bytes(bound)
+    k = 8 * kb
+    acc = 0
+    for (x, y), s in zip(terms, scales):
+        off = x.val + y.val - lo
+        if off < n:
+            acc += (_pack(x.nums[: n - off], k) * _pack(y.nums[: n - off], k) * s) << (k * off)
+    return _series(lo, _unpack(acc, kb, n), den, t)
 
 
 def _series(val: int, nums: Sequence[int], den: int, trunc: Optional[int]) -> LaurentSeries:

@@ -266,6 +266,17 @@ class TestPseudoSymbols:
             assert identity_window(compose(L, Q))
             assert identity_window(compose(Q, L))
 
+    def test_invert_keeps_truncated_zero_terms(self):
+        # D + O(z^5): the D^-2..D^-4 terms vanish only to the order the input
+        # certifies, so none of them may come back as an exact zero
+        L = DiffOp.from_map({1: ONE, 0: LaurentSeries.zero(5)}, 0, 1)
+        Q = pseudo_invert(L, 3)
+        assert Q.coeff(-1) == ONE
+        for i in (-2, -3, -4):
+            c = Q.coeff(i)
+            assert c.is_zero() and not c.is_exact() and c.trunc <= 5
+        assert identity_window(compose(L, Q))
+
     def test_invert_needs_unit_lead(self):
         L = DiffOp.from_map({1: Z, 0: ONE}, 0, 1)
         with pytest.raises(PreconditionError):

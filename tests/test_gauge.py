@@ -5,6 +5,7 @@ bundles (degree arithmetic only), and the h = 0 spectral data against
 elementary symmetric polynomials of explicit eigenvalues.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -207,6 +208,15 @@ class TestAction:
                      lambda: gauge_compose(identity_gauge(sl2), bad)):
             with pytest.raises(PreconditionError, match="not homogeneous"):
                 call()
+
+    @pytest.mark.parametrize("step", [
+        [[ZERO], [ZERO, ZERO, ZERO]],  # ragged, its diagonal still present
+        [[ZERO, Z, ZERO], [ZERO, ZERO, ZERO]],
+        [[ZERO, Z]],
+    ])
+    def test_validate_rejects_misshapen_step(self, step):
+        with pytest.raises(PreconditionError, match="not 2 x 2"):
+            GaugeElement(model("A", 1), {}, [step]).validate()
 
     def test_validate_rejects_unknown_root(self):
         sl2 = model("A", 1)
@@ -644,3 +654,59 @@ class TestGroupLaws:
         g, cf2 = normalize(cf.connection())
         assert g.is_identity()
         assert cf2.agrees(cf)
+
+
+# -- outputs pinned bit for bit ---------------------------------------------------------
+
+PINNED_MODELS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4)]
+PINNED_TRUNC = 6
+
+
+def _key(s):
+    return (s.val, s.nums, s.den, s.trunc)
+
+
+def _gauge_key(g):
+    return (tuple(sorted((r, _key(c)) for r, c in g.torus.items())),
+            tuple(tuple(tuple(_key(x) for x in row) for row in u) for u in g.steps))
+
+
+# digests recorded before the series-matrix kernel was packed; a change to
+# any output, truncation order included, changes one of them
+PINNED_DIGESTS = {
+    ("A", 1): "b7a945658ca919b6",
+    ("A", 2): "f9a7c3b3352ba86d",
+    ("A", 3): "55f1d8adc58f8318",
+    ("B", 2): "0a5d3a99fba631ba",
+    ("B", 3): "df7662486fcdda5a",
+    ("C", 2): "fdb70974c1061aa3",
+    ("C", 3): "ca8f3618dbb4de90",
+    ("D", 4): "f7cdf4ece3e063c8",
+}
+
+
+def pinned_outputs(family, rank):
+    """(val, nums, den, trunc) of every gauge output on seeded inputs at h = 1, 1/2, 0."""
+    m = model(family, rank)
+    rng = random.Random(f"pinned:{family}{rank}")
+    out = []
+    for planck in (F(1), F(1, 2), F(0)):
+        conn = rnd_oper(rng, m, planck, PINNED_TRUNC)
+        b = rnd_gauge(rng, m, PINNED_TRUNC)
+        g1, cf1 = normalize(conn)
+        moved = gauge_apply(conn, b)
+        g2, cf2 = normalize(moved)
+        out.append((
+            _gauge_key(g1), tuple(_key(d.series) for d in cf1.v),
+            tuple(tuple(_key(x) for x in row) for row in moved.q),
+            _gauge_key(g2), tuple(_key(d.series) for d in cf2.v),
+            _gauge_key(gauge_compose(b, g2)),
+            _gauge_key(gauge_inverse(b, trunc=PINNED_TRUNC)),
+            tuple((d.weight, _key(d.series)) for d in hitchin_map(cf1)) if planck == 0 else (),
+        ))
+    return hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family,rank", PINNED_MODELS)
+def test_gauge_outputs_are_pinned(family, rank):
+    assert pinned_outputs(family, rank) == PINNED_DIGESTS[(family, rank)]

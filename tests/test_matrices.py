@@ -7,6 +7,9 @@ all.
 
 import random
 from fractions import Fraction as F
+from math import lcm
+
+from hypothesis import given, settings, strategies as st
 
 from opercalc.matrices import smat_add, smat_comm, smat_mul, smat_scale, smat_sub
 from opercalc.series import LaurentSeries
@@ -78,3 +81,62 @@ class TestSmatMul:
                 as_tuples(entrywise(lambda x, _: F(-2, 3) * x, a, b))
             assert as_tuples(smat_comm(a, b)) == as_tuples(
                 entrywise(lambda x, y: x - y, dense_product(a, b), dense_product(b, a)))
+
+
+def reference_entry(pairs):
+    """(val, nums, den, trunc) of sum x * y by Fraction loops over the terms.
+
+    A product with an exact zero factor is exact 0; any other product is
+    certified below min(trunc x + val y, trunc y + val x), and the sum below
+    the least of those.
+    """
+    t, terms = None, {}
+    for x, y in pairs:
+        if (not x.nums and x.trunc is None) or (not y.nums and y.trunc is None):
+            continue
+        for order, v in ((x.trunc, y.val), (y.trunc, x.val)):
+            if order is not None:
+                t = order + v if t is None else min(t, order + v)
+        for i, c in x.terms().items():
+            for j, d in y.terms().items():
+                terms[i + j] = terms.get(i + j, F(0)) + c * d
+    keys = sorted(k for k, c in terms.items() if c and (t is None or k < t))
+    if not keys:
+        return (0 if t is None else t), (), 1, t
+    cs = [terms.get(k, F(0)) for k in range(keys[0], keys[-1] + 1)]
+    den = lcm(*(c.denominator for c in cs))
+    return keys[0], tuple(int(c * den) for c in cs), den, t
+
+
+def kernel_matrix(rng, n, m):
+    """Sparse: exact zeros, truncated zeros, monomials and long mixed-denominator entries."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.4:
+            return ZERO
+        if kind < 0.5:
+            return LaurentSeries.zero(rng.randint(-3, 9))
+        val = rng.randint(-3, 3)
+        if kind < 0.7:
+            c = rng.choice([F(1), F(-1), F(rng.randint(-9, 9) or 1, rng.randint(1, 7))])
+            return LaurentSeries(val, [c], None if rng.random() < 0.7 else val + rng.randint(1, 8))
+        cs = [F(rng.randint(-10**6, 10**6), rng.choice([1, 2, 3, 5, 7, 12, 35]))
+              for _ in range(rng.randint(2, 14))]
+        return LaurentSeries(val, cs, None if rng.random() < 0.5 else val + rng.randint(0, 16))
+    return [[entry() for _ in range(m)] for _ in range(n)]
+
+
+class TestSmatMulOracle:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_pairwise_reference(self, seed):
+        rng = random.Random(seed)
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a, b = kernel_matrix(rng, n, k), kernel_matrix(rng, k, m)
+        out = smat_mul(a, b)
+        for i in range(n):
+            for j in range(m):
+                x = out[i][j]
+                want = reference_entry([(a[i][t], b[t][j]) for t in range(k)])
+                assert (x.val, x.nums, x.den, x.trunc) == want
+

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opercalc.errors import InsufficientTruncationError, PreconditionError
-from opercalc.series import Density, LaurentSeries, fraction_root, unit_power
+from opercalc.series import Density, LaurentSeries, _convolve, dot, fraction_root, unit_power
 
 Z = LaurentSeries.monomial(1, 1)
 
@@ -574,3 +574,61 @@ class TestFractionFreePower:
         assert S == [(3 * a0) ** k * factorial(k) for k in range(len(eps) + 1)]
         assert all(type(g) is int for g in G)
         assert [F(g, s) for g, s in zip(G, S)] == miller([F(0)] + [F(x, a0) for x in eps], e, 7)
+
+
+# -- the packed integer kernels, against loops written here ------------------------
+
+
+def schoolbook(a, b, n):
+    """The first n coefficients of the product of two int lists, term by term."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+@st.composite
+def kernel_int(draw):
+    """0 or a signed integer of 1 to 300 bits."""
+    bits = draw(st.integers(0, 300))
+    if bits == 0:
+        return 0
+    x = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return -x if draw(st.booleans()) else x
+
+
+KERNEL = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+class TestPackedKernels:
+    @KERNEL
+    @given(st.lists(kernel_int(), max_size=40), st.lists(kernel_int(), max_size=40), st.data())
+    def test_convolve_matches_schoolbook(self, a, b, data):
+        # n runs from 0 past the full length len(a) + len(b) - 1
+        n = data.draw(st.integers(0, len(a) + len(b) + 3))
+        assert _convolve(tuple(a), tuple(b), n) == schoolbook(a, b, n)
+
+    @pytest.mark.parametrize("bits", [1, 2, 7, 8, 9, 63, 64, 65, 300])
+    def test_convolve_fills_its_slots(self, bits):
+        # every product term at the largest magnitude and one sign: the
+        # coefficients reach the bound the slot width is sized for
+        top = (1 << bits) - 1
+        for n in (1, 4, 5, 17, 64):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                a, b = [sa * top] * n, [sb * top] * n
+                for cut in (0, n, 2 * n - 1, 2 * n + 2):
+                    assert _convolve(a, b, cut) == schoolbook(a, b, cut)
+        assert _convolve([], [5, 6], 3) == [0, 0, 0]
+
+    @SETTINGS
+    @given(st.lists(st.tuples(raw_series(), raw_series()), max_size=6))
+    def test_dot_matches_sum_of_products(self, raws):
+        pairs, ref = [], (0, (), None)
+        for ra, rb in raws:
+            (a, _), (b, _) = build(ra), build(rb)
+            pairs.append((a, b))
+            ref = ref_add(ref, naive_product(a, b))
+        check(dot(pairs), ref)
+
