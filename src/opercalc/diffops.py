@@ -8,27 +8,33 @@ D^(i-k), truncated below a tracked floor.  The residue (coefficient of
 D^(-1)) and the inverse of an operator give the pairing res(u L^(-1) v^t);
 transposes, kernels along the diagonal, and Lie derivatives complete the
 calculus.
+
+The symbol calculus runs on one kernel, :func:`_products`, the only binomial
+expansion here.  Its callers ask it only for the coefficients they return:
+compose for its tracked range, transpose for the orders it keeps,
+pseudo_invert for the one coefficient of op . (partial inverse) that fixes
+the next term, and pairing for the orders of u . op^(-1) that reach D^(-1)
+and then for that coefficient alone.  Each coefficient is built as one
+product or one :func:`series.dot` over its Leibniz terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Dict, Mapping, Optional, Tuple, Union
+from math import comb, factorial
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InsufficientTruncationError, PreconditionError
 from .kernels import BiKernel
-from .series import Density, LaurentSeries, Rat, _fr, half_integer, is_exact_zero
+from .series import Density, LaurentSeries, Rat, _fr, dot, half_integer, is_exact_zero
 
 ZERO = LaurentSeries.zero()
+_SIGNS = (LaurentSeries.one(), -LaurentSeries.one())  # (-1)^i by the parity of i
 
 
-def _gbinom(i: int, k: int) -> Fraction:
-    """binom(i, k) for any integer i and k >= 0."""
-    num = 1
-    for t in range(k):
-        num *= i - t
-    return Fraction(num, factorial(k))
+def _gbinom(i: int, k: int) -> int:
+    """binom(i, k) for any integer i and k >= 0; binom(-m, k) = (-1)^k binom(m + k - 1, k)."""
+    return comb(i, k) if i >= 0 else (-1) ** k * comb(k - i - 1, k)
 
 
 class DiffOp:
@@ -219,32 +225,61 @@ def _as_symbol(op: Operator) -> PseudoSymbol:
     return op.to_symbol() if isinstance(op, DiffOp) else op
 
 
-def _shifted(i: int, g: LaurentSeries, h: Fraction, floor: int) -> Dict[int, LaurentSeries]:
-    """Normal form of D^i g as {i - k: binom(i,k) h^k g^(k)}, down to the floor."""
-    out = {}
-    gk = g
-    hk = Fraction(1)
-    for k in range(0, i - floor + 1):
-        c = _gbinom(i, k)
-        if c == 0:
-            break  # nonnegative i: the sum is finite
-        if not is_exact_zero(gk):
-            out[i - k] = (c * hk) * gk
+def _products(pairs: Sequence[Tuple[Tuple[int, LaurentSeries], Tuple[int, LaurentSeries]]],
+              h: Fraction, lo: int, hi: int) -> Dict[int, LaurentSeries]:
+    """The D^k coefficients, lo <= k <= hi, of the sum of f D^i . g D^j over the pairs.
+
+    D^i g = sum_kk binom(i, kk) h^kk g^(kk) D^(i-kk), so a pair ((i, f), (j, g))
+    reaches D^k at kk = i + j - k >= 0; for i >= 0 the sum stops at kk = i and
+    at planck 0 it stops at kk = 0.  Each derivative g^(kk) is built once and
+    each binom(i, kk) h^kk f once per call, and every coefficient is one
+    product or one :func:`dot` over its terms.  Exact zeros take no part.
+    """
+    derivs: Dict[int, List[LaurentSeries]] = {}  # keyed by id: pairs holds every g
+    scaled: Dict[Tuple[int, int, int], LaurentSeries] = {}
+    terms: Dict[int, List[Tuple[LaurentSeries, LaurentSeries]]] = {}
+    for (i, f), (j, g) in pairs:
+        if is_exact_zero(f) or is_exact_zero(g):
+            continue
+        kk_hi = i + j - lo
+        if i >= 0:
+            kk_hi = min(kk_hi, i)
         if h == 0:
-            break
-        gk = gk.derivative()
-        hk = hk * h
-    return out
+            kk_hi = min(kk_hi, 0)
+        ds = derivs.setdefault(id(g), [g])
+        for kk in range(max(0, i + j - hi), kk_hi + 1):
+            while len(ds) <= kk:
+                ds.append(ds[-1].derivative())
+            gk = ds[kk]
+            if is_exact_zero(gk):
+                break  # so is every later derivative
+            fk = scaled.get((id(f), i, kk))
+            if fk is None:
+                c = _gbinom(i, kk) * (h**kk if h != 1 else 1)
+                fk = scaled[(id(f), i, kk)] = f if c == 1 else c * f
+            terms.setdefault(i + j - kk, []).append((fk, gk))
+    return {k: t[0][0] * t[0][1] if len(t) == 1 else dot(t) for k, t in terms.items()}
 
 
-def compose(a: Operator, b: Operator) -> Operator:
-    """Normal-form product a . b; differential inputs give a differential output."""
+def _pairs(a: Mapping[int, LaurentSeries], b: Mapping[int, LaurentSeries]):
+    """Every pair of a term of a with a term of b, for :func:`_products`."""
+    right = list(b.items())
+    return [(p, q) for p in a.items() for q in right]
+
+
+def _check_chain(a: Operator, b: Operator):
+    """a . b needs b to land in the weight a expects, at the same planck."""
     if a.src != b.tgt:
         raise PreconditionError(
             f"weights do not chain: right factor lands in {b.tgt}, left expects {a.src}"
         )
     if a.planck != b.planck:
         raise PreconditionError("cannot compose distinct planck values")
+
+
+def compose(a: Operator, b: Operator) -> Operator:
+    """Normal-form product a . b; differential inputs give a differential output."""
+    _check_chain(a, b)
     sa, sb = _as_symbol(a), _as_symbol(b)
     h = sa.planck
     top = sa.top + sb.top
@@ -260,43 +295,30 @@ def compose(a: Operator, b: Operator) -> Operator:
             cands.append(sb.floor + sa.top)
         floor = max(cands)
         exact = False
-    acc: Dict[int, LaurentSeries] = {}
-    for i, fi in sa.coeffs.items():
-        for j, gj in sb.coeffs.items():
-            for t, s in _shifted(i, gj, h, floor - j).items():
-                k = t + j
-                if k < floor:
-                    continue
-                acc[k] = acc.get(k, ZERO) + fi * s
+    acc = _products(_pairs(sa.coeffs, sb.coeffs), h, floor, top)
     out = PseudoSymbol(top, floor, sb.src, sa.tgt, h, acc, exact)
     if isinstance(a, DiffOp) and isinstance(b, DiffOp):
         return DiffOp.from_map(dict(out.coeffs), sb.src, sa.tgt, h)
     return out
 
 
+def _transposed(coeffs: Mapping[int, LaurentSeries], h: Fraction, lo: int, hi: int):
+    """sum (-D)^i . f_i at orders lo..hi: the pairs ((i, (-1)^i), (0, f_i))."""
+    return _products([((i, _SIGNS[i % 2]), (0, f)) for i, f in coeffs.items()], h, lo, hi)
+
+
 def transpose(op: DiffOp) -> DiffOp:
     """sum (-D)^i . f_i, mapping weight 1-tgt to weight 1-src."""
-    h = op.planck
-    acc: Dict[int, LaurentSeries] = {}
-    for i, fi in enumerate(op.coeffs):
-        for k, s in _shifted(i, fi, h, 0).items():
-            sgn = -1 if i % 2 else 1
-            acc[k] = acc.get(k, ZERO) + sgn * s
-    return DiffOp.from_map(acc, 1 - op.tgt, 1 - op.src, h)
+    acc = _transposed(dict(enumerate(op.coeffs)), op.planck, 0, op.order)
+    return DiffOp.from_map(acc, 1 - op.tgt, 1 - op.src, op.planck)
 
 
 def transpose_symbol(p: PseudoSymbol) -> PseudoSymbol:
     """Transpose down to the same floor; order m depends only on inputs >= m."""
-    h = p.planck
-    acc: Dict[int, LaurentSeries] = {}
-    for i, fi in p.coeffs.items():
-        for k, s in _shifted(i, fi, h, p.floor).items():
-            sgn = -1 if i % 2 else 1
-            acc[k] = acc.get(k, ZERO) + sgn * s
-    acc = {k: c for k, c in acc.items() if k >= p.floor}
+    acc = _transposed(p.coeffs, p.planck, p.floor, p.top)
     # a negative power expands into an infinite tail below the floor
     exact = p.exact_below and all(i >= 0 for i in p.coeffs)
-    return PseudoSymbol(p.top, p.floor, 1 - p.tgt, 1 - p.src, h, acc, exact)
+    return PseudoSymbol(p.top, p.floor, 1 - p.tgt, 1 - p.src, p.planck, acc, exact)
 
 
 def symbols(op: DiffOp) -> Tuple[Density, DiffOp]:
@@ -328,13 +350,12 @@ def pseudo_invert(op: DiffOp, depth: int, trunc: Optional[int] = None) -> Pseudo
     coeffs: Dict[int, LaurentSeries] = {}
     h = op.planck
     one = LaurentSeries.one()
+    terms = dict(enumerate(op.coeffs))
     for j in range(depth + 1):
         # op . (partial sum) matches the target above -j; the term q_{-n-j}
-        # enters the coefficient of D^{-j} only through lead * q_{-n-j}
-        cur = ZERO
-        if coeffs:
-            partial = PseudoSymbol(-n, -n - j, op.tgt, op.src, h, coeffs, False)
-            cur = compose(op, partial).coeffs.get(-j, ZERO)
+        # enters the coefficient of D^{-j} only through lead * q_{-n-j}, so
+        # only that coefficient of op . (partial sum) is built
+        cur = _products(_pairs(terms, coeffs), h, -j, -j).get(-j, ZERO)
         diff = (one if j == 0 else ZERO) - cur
         if not is_exact_zero(diff):
             coeffs[-n - j] = diff * inv_lead
@@ -344,16 +365,24 @@ def pseudo_invert(op: DiffOp, depth: int, trunc: Optional[int] = None) -> Pseudo
 def res(p: Operator) -> Density:
     """Coefficient of D^(-1); a density of weight tgt - src + 1."""
     s = _as_symbol(p)
-    if s.floor > -1 and not s.exact_below:
-        raise InsufficientTruncationError(
-            f"residue untracked: floor is {s.floor}, need -1"
-        )
+    if not s.exact_below:
+        _check_residue_floor(s.floor)
     return Density(s.coeffs.get(-1, ZERO), s.tgt - s.src + 1)
+
+
+def _check_residue_floor(floor: int):
+    """The residue is the coefficient of D^(-1), so the floor must reach -1."""
+    if floor > -1:
+        raise InsufficientTruncationError(f"residue untracked: floor is {floor}, need -1")
 
 
 def pairing(u: Operator, v: Operator, op: DiffOp,
             depth: Optional[int] = None, trunc: Optional[int] = None) -> LaurentSeries:
-    """res(u . op^(-1) . v^t), the bilinear pairing attached to op."""
+    """res(u . op^(-1) . v^t), the bilinear pairing attached to op.
+
+    Only the D^(-1) coefficient is built, from the coefficients of
+    u . op^(-1) of order at least -1 - v.order, the only ones that reach it.
+    """
     if isinstance(v, PseudoSymbol):
         raise PreconditionError("the right slot must be a differential operator")
     vt = transpose(v)
@@ -362,8 +391,16 @@ def pairing(u: Operator, v: Operator, op: DiffOp,
         # floor of u . op^(-1) . v^t is u.top + v.order - order - depth
         depth = max(su.top + v.order - op.order + 1, 0)
     inv = pseudo_invert(op, depth, trunc=trunc)
-    total = compose(compose(su, inv), vt)
-    return res(total).series
+    _check_chain(su, inv)
+    _check_chain(inv, vt)  # u . op^(-1) has the source of op^(-1)
+    # the floors compose would give u . op^(-1) and then the triple product
+    floor = inv.floor + su.top
+    if not su.exact_below:
+        floor = max(floor, su.floor + inv.top)
+    _check_residue_floor(floor + vt.order)
+    h = op.planck
+    left = _products(_pairs(su.coeffs, inv.coeffs), h, -1 - vt.order, su.top + inv.top)
+    return _products(_pairs(left, dict(enumerate(vt.coeffs))), h, -1, -1).get(-1, ZERO)
 
 
 def kernel_from_diffop(op: DiffOp) -> BiKernel:

@@ -340,13 +340,11 @@ class LaurentSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other) -> "LaurentSeries":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _plus(self, other: "LaurentSeries", sign: int) -> "LaurentSeries":
+        """self + sign * other (sign 1 or -1), built as one series."""
         t = _tmin(self.trunc, other.trunc)
         if not self.nums and self.trunc is None:
-            return other.truncate(t)
+            return (other if sign == 1 else -other).truncate(t)
         if not other.nums and other.trunc is None:
             return self.truncate(t)
         lo = min(self.val, other.val)
@@ -355,8 +353,15 @@ class LaurentSeries:
             hi = min(hi, t)
         n = max(0, hi - lo)
         d = lcm(self.den, other.den)
-        out = map(add, self._aligned(lo, n, d // self.den), other._aligned(lo, n, d // other.den))
+        out = map(add, self._aligned(lo, n, d // self.den),
+                  other._aligned(lo, n, sign * (d // other.den)))
         return _series(lo, list(out), d, t)
+
+    def __add__(self, other) -> "LaurentSeries":
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -367,13 +372,13 @@ class LaurentSeries:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __mul__(self, other) -> "LaurentSeries":
         if isinstance(other, (int, Fraction)):

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opercalc.diffops import (
     DiffOp,
@@ -599,3 +600,36 @@ class TestEvenOrthogonal:
         op = rnd_selfdual(rng, 3)
         with pytest.raises(PreconditionError):
             so_even_build(op, Density(ZERO, 3))
+
+
+# -- seeded round trips for every kind ----------------------------------------------
+
+KIND_ORDERS = [("gl", n) for n in range(2, 7)] + [("sl", n) for n in range(2, 7)] + \
+    [("sp", n) for n in (2, 4, 6)] + [("so_odd", n) for n in (3, 5)]
+ROUND_TRIP = settings(derandomize=True, database=None, max_examples=8, deadline=None)
+
+
+@st.composite
+def st_kind_op(draw, kind, order):
+    """A window operator of the kind: monic, sl without subprincipal term, sp/so_odd L^t = +-L."""
+    planck = draw(st.sampled_from([F(1), F(1, 2)]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind in ("sp", "so_odd"):
+        return rnd_selfdual(rng, order, planck=planck)
+    op = rnd_monic(rng, order, planck=planck)
+    if kind == "sl":
+        op = DiffOp.from_map({**dict(enumerate(op.coeffs)), order - 1: ZERO},
+                             op.src, op.tgt, planck)
+    return op
+
+
+class TestEveryKindRoundTrips:
+    @pytest.mark.parametrize("kind,order", KIND_ORDERS, ids=lambda x: str(x))
+    @ROUND_TRIP
+    @given(data=st.data())
+    def test_round_trip_and_flag_pairing(self, kind, order, data):
+        op = data.draw(st_kind_op(kind, order))
+        trunc = 24 if kind in ("sp", "so_odd") else None
+        back = diffop_from_oper(oper_from_diffop(op, kind, trunc=trunc), trunc=trunc or 20)
+        assert back.agrees(op) and back.order == order
+        verify_flag_pairing(op, trunc=24)

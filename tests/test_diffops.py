@@ -3,13 +3,18 @@
 Composition is checked against the action on densities (which uses only
 multiplication and d/dz), the Gram determinants against a from-scratch
 Laplace expansion, and the commutator formulas against hand-expanded
-products recorded inline.
+products recorded inline.  The packed symbol calculus is compared, == on
+every (val, nums, den, trunc) and error, with a term-by-term Leibniz loop
+kept here as the reference, and its outputs are pinned by a digest.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opercalc.diffops import (
     DiffOp,
@@ -25,9 +30,10 @@ from opercalc.diffops import (
     symbols,
     to_plain,
     transpose,
+    transpose_symbol,
 )
 from opercalc.errors import InsufficientTruncationError, PreconditionError
-from opercalc.series import Density, LaurentSeries
+from opercalc.series import Density, LaurentSeries, is_exact_zero
 
 Z = LaurentSeries.monomial(1, 1)
 ONE = LaurentSeries.one()
@@ -442,3 +448,277 @@ class TestKernels:
         L = DiffOp.from_map({2: ONE, 0: Z}, 0, 0, 0)
         flat = to_plain(L)
         assert flat.order == 0 and flat.coeff(0) == Z
+
+
+# -- the packed symbol calculus against a term-by-term Leibniz loop ---------------------
+
+def ref_binom(i, k):
+    num = 1
+    for t in range(k):
+        num *= i - t
+    return F(num, factorial(k))
+
+
+def ref_shifted(i, g, h, floor):
+    """Normal form of D^i g as {i - k: binom(i,k) h^k g^(k)}, down to the floor."""
+    out = {}
+    gk = g
+    hk = F(1)
+    for k in range(0, i - floor + 1):
+        c = ref_binom(i, k)
+        if c == 0:
+            break  # nonnegative i: the sum is finite
+        if not is_exact_zero(gk):
+            out[i - k] = (c * hk) * gk
+        if h == 0:
+            break
+        gk = gk.derivative()
+        hk = hk * h
+    return out
+
+
+def as_symbol(x):
+    return x.to_symbol() if isinstance(x, DiffOp) else x
+
+
+def ref_compose(a, b):
+    """a . b with one product and one addition per Leibniz term."""
+    if a.src != b.tgt:
+        raise PreconditionError(
+            f"weights do not chain: right factor lands in {b.tgt}, left expects {a.src}"
+        )
+    if a.planck != b.planck:
+        raise PreconditionError("cannot compose distinct planck values")
+    sa, sb = as_symbol(a), as_symbol(b)
+    h = sa.planck
+    top = sa.top + sb.top
+    if sa.exact_below and sb.exact_below:
+        floor = sa.floor + sb.floor
+        exact = all(i >= 0 for i in sa.coeffs)
+    else:
+        cands = []
+        if not sa.exact_below:
+            cands.append(sa.floor + sb.top)
+        if not sb.exact_below:
+            cands.append(sb.floor + sa.top)
+        floor = max(cands)
+        exact = False
+    acc = {}
+    for i, fi in sa.coeffs.items():
+        for j, gj in sb.coeffs.items():
+            for t, s in ref_shifted(i, gj, h, floor - j).items():
+                k = t + j
+                if k >= floor:
+                    acc[k] = acc.get(k, ZERO) + fi * s
+    out = PseudoSymbol(top, floor, sb.src, sa.tgt, h, acc, exact)
+    if isinstance(a, DiffOp) and isinstance(b, DiffOp):
+        return DiffOp.from_map(dict(out.coeffs), sb.src, sa.tgt, h)
+    return out
+
+
+def ref_transposed(coeffs, h, floor):
+    acc = {}
+    for i, fi in coeffs.items():
+        for k, s in ref_shifted(i, fi, h, floor).items():
+            acc[k] = acc.get(k, ZERO) + (-1 if i % 2 else 1) * s
+    return acc
+
+
+def ref_transpose(op):
+    return DiffOp.from_map(ref_transposed(dict(enumerate(op.coeffs)), op.planck, 0),
+                           1 - op.tgt, 1 - op.src, op.planck)
+
+
+def ref_transpose_symbol(p):
+    exact = p.exact_below and all(i >= 0 for i in p.coeffs)
+    return PseudoSymbol(p.top, p.floor, 1 - p.tgt, 1 - p.src, p.planck,
+                        ref_transposed(p.coeffs, p.planck, p.floor), exact)
+
+
+def ref_pseudo_invert(op, depth, trunc):
+    """Each q_(-n-j) from the D^(-j) coefficient of a reference composition."""
+    n, h = op.order, op.planck
+    inv_lead = op.coeffs[-1].inverse(trunc=trunc)
+    coeffs = {}
+    for j in range(depth + 1):
+        cur = ZERO
+        if coeffs:
+            partial = PseudoSymbol(-n, -n - j, op.tgt, op.src, h, coeffs, False)
+            cur = ref_compose(op, partial).coeffs.get(-j, ZERO)
+        diff = (ONE if j == 0 else ZERO) + (-cur)
+        if not is_exact_zero(diff):
+            coeffs[-n - j] = diff * inv_lead
+    return PseudoSymbol(-n, -n - depth, op.tgt, op.src, h, coeffs, False)
+
+
+def ref_pairing(u, v, op, depth, trunc):
+    """The residue of the reference double composition u . op^(-1) . v^t."""
+    su = as_symbol(u)
+    if depth is None:
+        depth = max(su.top + v.order - op.order + 1, 0)
+    total = ref_compose(ref_compose(su, ref_pseudo_invert(op, depth, trunc)), ref_transpose(v))
+    return res(total).series
+
+
+def skey(s):
+    return (s.val, s.nums, s.den, s.trunc)
+
+
+def okey(x):
+    """(val, nums, den, trunc) of every coefficient, with the operator's range and weights."""
+    if isinstance(x, LaurentSeries):
+        return skey(x)
+    if isinstance(x, Density):
+        return (x.weight, skey(x.series))
+    if isinstance(x, DiffOp):
+        return ("D", x.order, x.src, x.tgt, x.planck, tuple(skey(c) for c in x.coeffs))
+    if isinstance(x, PseudoSymbol):
+        return ("P", x.top, x.floor, x.src, x.tgt, x.planck, x.exact_below,
+                tuple(sorted((i, skey(c)) for i, c in x.coeffs.items())))
+    return tuple(okey(y) for y in x)
+
+
+def outcome(f, *args, **kw):
+    """okey of the result, or the type and message of the exception raised."""
+    try:
+        return okey(f(*args, **kw))
+    except (PreconditionError, InsufficientTruncationError) as e:
+        return (type(e).__name__, str(e))
+
+
+ORACLE = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+PLANCKS = st.sampled_from([F(1), F(1, 2), F(0)])
+RATS = sorted({F(p, q) for p in range(-4, 5) for q in (1, 2, 3, 6)})
+NONZERO = [c for c in RATS if c]
+
+
+@st.composite
+def st_series(draw, lead=False, unit=False):
+    """Exact or truncated, mixed denominators, zeros included.
+
+    lead: a certified nonzero first coefficient; unit: that coefficient is the constant term.
+    """
+    val = 0 if unit else draw(st.integers(-1, 2))
+    cs = draw(st.lists(st.sampled_from(RATS), max_size=4))
+    if lead or unit:
+        cs = [draw(st.sampled_from(NONZERO))] + cs
+    lo = val + 1 if lead or unit else val - 1
+    return LaurentSeries(val, cs, draw(st.one_of(st.none(), st.integers(lo, val + 6))))
+
+
+@st.composite
+def st_op(draw, h, src, order=None, unit=False):
+    n = draw(st.integers(0, 4)) if order is None else order
+    coeffs = {i: draw(st_series()) for i in range(n)}
+    coeffs[n] = draw(st_series(lead=True, unit=unit))
+    return DiffOp.from_map(coeffs, src, src + n, h)
+
+
+@st.composite
+def st_symbol(draw, h, src, tgt):
+    top = draw(st.integers(-2, 3))
+    floor = top - draw(st.integers(0, 4))
+    coeffs = {i: draw(st_series()) for i in range(floor, top + 1) if draw(st.booleans())}
+    return PseudoSymbol(top, floor, src, tgt, h, coeffs, draw(st.booleans()))
+
+
+@st.composite
+def st_case(draw):
+    """An operator L with a unit lead, and operators and symbols that chain with it."""
+    h = draw(PLANCKS)
+    n = draw(st.integers(1, 4))
+    # the pairing chains at the window a = (1 - n)/2; a quarter of the cases miss it
+    a = F(1 - n, 2) + draw(st.sampled_from([0, 0, 0, F(1, 2)]))
+    L = draw(st_op(h, a, order=n, unit=True))
+    M = draw(st_op(h, L.tgt))
+    u = draw(st_op(h, a))
+    v = draw(st_op(h, a))
+    sym = draw(st_symbol(h, L.tgt, a + draw(st.integers(-2, 2))))
+    left = draw(st_symbol(h, a, a + 1))
+    return L, M, u, v, sym, left
+
+
+class TestLeibnizOracle:
+    """compose, transpose, pseudo_invert and pairing are == to the term-by-term loop."""
+
+    @ORACLE
+    @given(st_case(), st.integers(0, 4))
+    def test_compose_both_orders(self, case, depth):
+        L, M, _, _, sym, _ = case
+        Q = ref_pseudo_invert(L, depth, 8)
+        for a, b in ((M, L), (sym, L), (sym, L.to_symbol()), (L, Q), (Q, L), (L, L), (sym, Q)):
+            assert outcome(compose, a, b) == outcome(ref_compose, a, b)
+
+    @ORACLE
+    @given(st_case(), st.integers(0, 4))
+    def test_transposes(self, case, depth):
+        L, M, u, _, sym, left = case
+        for op in (L, M, u):
+            assert transpose(op) == ref_transpose(op)
+        for p in (sym, left, L.to_symbol(), ref_pseudo_invert(L, depth, 8)):
+            assert okey(transpose_symbol(p)) == okey(ref_transpose_symbol(p))
+
+    @ORACLE
+    @given(st_case(), st.integers(0, 5), st.sampled_from([None, 3, 8]))
+    def test_pseudo_invert_reads_the_reference_composition(self, case, depth, trunc):
+        L = case[0]
+        assert outcome(pseudo_invert, L, depth, trunc=trunc) == \
+            outcome(ref_pseudo_invert, L, depth, trunc)
+
+    @ORACLE
+    @given(st_case(), st.sampled_from([None, 0, 1, 3]))
+    def test_pairing_is_the_reference_residue(self, case, depth):
+        L, _, u, v, _, left = case
+        a, h = L.src, L.planck
+        flag = [DiffOp.from_map({i: ONE}, a, a + i, h) for i in range(L.order)]
+        cases = [(u, v), (left, v), (v, u), (flag[0], flag[-1]), (flag[-1], flag[0]), (u, L)]
+        for x, y in cases:
+            assert outcome(pairing, x, y, L, depth=depth, trunc=8) == \
+                outcome(ref_pairing, x, y, L, depth, 8)
+
+
+# -- outputs pinned bit for bit ---------------------------------------------------------
+
+# recorded with the term-by-term Leibniz loop, before the calculus was packed; a
+# change to any coefficient, truncation order or error message changes it
+PINNED_SYMBOL_DIGEST = "11b064cf87d807d5"
+
+
+def pinned_symbol_outputs():
+    """okey or exception of every calculus output on seeded inputs at h = 1, 1/2, 0."""
+    rng = random.Random("pinned:diffops")
+
+    def ser(trunc):
+        s = rnd_series(rng, rng.randint(-1, 1), 4)
+        return s if trunc is None else s.truncate(trunc)
+
+    out = []
+    for h in (F(1), F(1, 2), F(0)):
+        for trunc in (None, 7):
+            for n in range(1, 6):
+                a = F(1 - n, 2)
+                cs = {i: ser(trunc) for i in range(n)}
+                cs[n] = LaurentSeries.constant(rng.choice([1, 2, F(-1, 3)])) + ser(trunc).shift(1)
+                L = DiffOp.from_map(cs, a, a + n, h)
+                M = DiffOp.from_map({i: ser(trunc) for i in range(n)}, a + n, a + 2 * n - 1, h)
+                u = DiffOp.from_map({i: ser(trunc) for i in range(n)}, a, a + n - 1, h)
+                v = DiffOp.from_map({i: ser(trunc) for i in range(n - 1)}, a, a + n - 2, h)
+                sym = PseudoSymbol(1, -2, a + n, a + n + 1, h, {i: ser(trunc) for i in (1, 0, -2)})
+                out += [outcome(pseudo_invert, L, 3, trunc=9), outcome(pseudo_invert, L, 2)]
+                Q = pseudo_invert(L, 3, trunc=9)
+                out += [outcome(compose, f, g) for f, g in ((L, Q), (Q, L), (M, L), (sym, L), (L, M))]
+                out += [outcome(transpose, L), outcome(transpose, M),
+                        outcome(transpose_symbol, Q), outcome(transpose_symbol, sym),
+                        outcome(symbols, L)]
+                for depth in (None, 0, 1, 3):
+                    out += [outcome(pairing, u, v, L, depth=depth, trunc=9),
+                            outcome(pairing, v, u, transpose(L), depth=depth, trunc=9),
+                            outcome(pairing, Q, v, L, depth=depth, trunc=9)]
+                if h:
+                    w = Density(ser(trunc), -1)
+                    out += [outcome(lie_derivative, L, w), outcome(lie_derivative, M, w)]
+    return hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+
+
+def test_symbol_outputs_are_pinned():
+    assert pinned_symbol_outputs() == PINNED_SYMBOL_DIGEST

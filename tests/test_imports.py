@@ -1,12 +1,17 @@
-"""No library module imports a name it never uses.
+"""No library module imports a name it never uses, and no private helper is left unused.
 
 The scan reads each module's syntax tree: every name bound by an import
 statement (at any depth) must be read somewhere in the module, as a plain
 name, the base of an attribute, a quoted annotation, or an entry of
 ``__all__``.  ``from __future__`` imports bind no name and are skipped.
+
+A module-level private function or class (``_name``) must be referenced
+somewhere in the package outside its own definition: as a name, an
+attribute or an imported name.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,6 +65,32 @@ def unused_imports(source: str):
     return sorted((line, name) for line, name in bound if name not in read)
 
 
+def _references(tree):
+    """Counter of the names read anywhere in tree: names, attributes, imported names."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+def unused_private(sources):
+    """(module, name) of every module-level _name def or class referenced only inside itself."""
+    defined, read = [], Counter()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read.update(_references(tree))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined.append((module, node.name, _references(node)[node.name]))
+    return sorted((module, name) for module, name, inside in defined if read[name] == inside)
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "serialize.py", "series.py"}
 
@@ -67,6 +98,23 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_unused_private_helper():
+    assert unused_private({p.name: p.read_text(encoding="utf-8") for p in MODULES}) == []
+
+
+@pytest.mark.parametrize("sources,expected", [
+    ({"a.py": "def _f(): pass\n"}, [("a.py", "_f")]),
+    ({"a.py": "def _f(n):\n    return _f(n - 1)\n"}, [("a.py", "_f")]),
+    ({"a.py": "class _C: pass\nx = _C()\n"}, []),
+    ({"a.py": "def _f(): pass\n", "b.py": "from .a import _f\n"}, []),
+    ({"a.py": "def _f(): pass\n", "b.py": "from . import a\na._f()\n"}, []),
+    ({"a.py": "class C:\n    def _m(self): pass\n"}, []),
+    ({"a.py": "def __getattr__(name): pass\n"}, []),
+])
+def test_private_scanner(sources, expected):
+    assert unused_private(sources) == expected
 
 
 @pytest.mark.parametrize("source,expected", [

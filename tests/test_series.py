@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opercalc.errors import InsufficientTruncationError, PreconditionError
 from opercalc.series import Density, LaurentSeries, _convolve, dot, fraction_root, unit_power
@@ -342,6 +342,10 @@ def build(raw):
     return LaurentSeries(*raw), canon(*raw)
 
 
+def key(s):
+    return (s.val, s.nums, s.den, s.trunc)
+
+
 def check(s, ref):
     """s is in canonical form and shows exactly the reference (val, coeffs, trunc)."""
     assert s.den > 0 and gcd(s.den, *s.nums) == 1
@@ -425,6 +429,19 @@ class TestIntegerRepresentation:
         check(a + b, ref_add(ra, rb))
         check(a - b, ref_add(ra, ref_neg(rb)))
         check(-a, ref_neg(ra))
+
+    @SETTINGS
+    @given(raw_series(), raw_series(), RATS)
+    @example((0, [], None), (1, [F(1, 2), F(-3, 4)], None), F(0))  # exact zeros
+    @example((2, [F(5, 6)], 4), (0, [], None), F(1, 3))
+    @example((0, [], 3), (1, [F(2, 9), F(1, 4)], 6), F(-2))  # truncated zeros
+    @example((-1, [F(1, 2), 0, F(7, 5)], 5), (-1, [F(1, 2), 0, F(7, 5)], None), F(1, 2))
+    @example((0, [F(1, 3), F(1, 4)], None), (0, [F(1, 3), F(1, 4)], None), F(1, 3))
+    def test_difference_is_the_sum_with_the_negation(self, ra, rb, c):
+        a, b, k = LaurentSeries(*ra), LaurentSeries(*rb), LaurentSeries.constant(c)
+        assert key(a - b) == key(a + (-b))
+        assert key(c - a) == key(k + (-a))
+        assert key(a - c) == key(a + (-k))
 
     @SETTINGS
     @given(raw_series(), st.fractions(min_value=-9, max_value=9, max_denominator=12))
