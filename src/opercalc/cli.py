@@ -116,10 +116,6 @@ def _with_trunc(fn, trunc: int):
         return fn(trunc)
 
 
-def _rat(text: str) -> Fraction:
-    return ser.rat_parse(text)
-
-
 def _compact(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -239,7 +235,7 @@ def cmd_kernel(args) -> int:
     if args.lift is not None:
         k = k.symmetrize_lift(_PARITY[args.lift], args.extra)
     if args.power is not None:
-        k = k.power(_rat(args.power))
+        k = k.power(ser.rat_parse(args.power))
     p = _prefix(args, args.input)
     _write(p + ".kernel.json", ser.kernel_obj(k))
     return 0
@@ -308,7 +304,7 @@ def cmd_sl2_o3(args) -> int:
     u = ser.density_load(_read(args.density))
     from .dictionary import sl2_to_o3
 
-    conn, lt = sl2_to_o3(u, planck=_rat(args.planck))
+    conn, lt = sl2_to_o3(u, planck=ser.rat_parse(args.planck))
     p = _prefix(args, args.density)
     _write(p + ".connection.json", ser.connection_obj(conn))
     _write(p + ".diffop.json", ser.diffop_obj(lt, kind="so_odd"))

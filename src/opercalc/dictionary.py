@@ -32,7 +32,6 @@ from .matrices import (
     fmat_transpose,
     smat_from_frac,
     smat_mul,
-    smat_truncate,
 )
 from .record import Record
 from .series import Density, LaurentSeries, Rat, _fr, half_integer, is_exact_zero
@@ -95,11 +94,6 @@ class FlaggedSystem(Record):
         for i in range(self.n - 1):
             out = out * self.matrix[i + 1][i]
         return out
-
-    def truncated(self, trunc: Optional[int]) -> "FlaggedSystem":
-        if trunc is None:
-            return self
-        return FlaggedSystem(smat_truncate(self.matrix, trunc), self.src, self.tgt, self.planck)
 
     def agrees(self, other: "FlaggedSystem") -> bool:
         return (
@@ -284,13 +278,13 @@ def oper_from_diffop(op: DiffOp, kind: str,
             raise PreconditionError("principal symbol must be 1")
         return companion_system(op)
     if kind == "sl":
-        return _sl_connection(op, trunc)
+        return _sl_connection(op)
     if kind in ("sp", "so_odd"):
         return _selfdual_connection(op, kind, trunc)
     raise MalformedInputError(f"unknown kind {kind!r}")
 
 
-def _sl_connection(op: DiffOp, trunc: Optional[int]) -> OperConnection:
+def _sl_connection(op: DiffOp) -> OperConnection:
     n = op.order
     if n < 2:
         raise PreconditionError("the traceless kind needs order at least 2")
@@ -557,7 +551,7 @@ def _series_solve(cols: Sequence[Sequence[LaurentSeries]],
         where.append(p)
         prow = rows[p]
         for r in range(nrow):
-            if r == p or rows[r][j].is_zero():
+            if r == p or is_exact_zero(rows[r][j]):
                 continue
             fac = rows[r][j].div(prow[j], trunc)
             rows[r] = [x - fac * y for x, y in zip(rows[r], prow)]

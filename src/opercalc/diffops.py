@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InsufficientTruncationError, PreconditionError
 from .kernels import BiKernel
+from .record import Record
 from .series import Density, LaurentSeries, Rat, _fr, dot, half_integer, is_exact_zero
 
 ZERO = LaurentSeries.zero()
@@ -37,7 +38,7 @@ def _gbinom(i: int, k: int) -> int:
     return comb(i, k) if i >= 0 else (-1) ** k * comb(k - i - 1, k)
 
 
-class DiffOp:
+class DiffOp(Record):
     """sum_{i=0}^{order} coeffs[i] * D^i from weight-src to weight-tgt densities."""
 
     __slots__ = ("order", "src", "tgt", "planck", "coeffs")
@@ -53,9 +54,6 @@ class DiffOp:
         object.__setattr__(self, "tgt", half_integer(tgt))
         object.__setattr__(self, "planck", _fr(planck))
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("DiffOp is immutable")
 
     @classmethod
     def from_map(cls, coeffs: Mapping[int, LaurentSeries], src: Rat, tgt: Rat,
@@ -78,17 +76,6 @@ class DiffOp:
             return False
         hi = max(self.order, other.order)
         return all(self.coeff(i).agrees(other.coeff(i)) for i in range(hi + 1))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffOp)
-            and (self.order, self.src, self.tgt, self.planck) ==
-                (other.order, other.src, other.tgt, other.planck)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.src, self.tgt, self.planck, self.coeffs))
 
     def __repr__(self):
         parts = [f"({c})*D^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]

@@ -169,7 +169,7 @@ class CanonicalForm(Record):
 # -- the gauge action -----------------------------------------------------------
 
 
-def _torus_powers(model: LieModel, torus: Dict[int, LaurentSeries], trunc: Optional[int]):
+def _torus_powers(torus: Dict[int, LaurentSeries], trunc: Optional[int]):
     """Per-root powers c^k needed positionwise, computed once; c^-1 to order `trunc`."""
     cache: Dict[Tuple[int, int], LaurentSeries] = {}
 
@@ -187,7 +187,7 @@ def _torus_powers(model: LieModel, torus: Dict[int, LaurentSeries], trunc: Optio
 def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: SeriesMatrix,
                      sign: int, trunc: Optional[int] = None) -> SeriesMatrix:
     """Entrywise adjoint action of the torus element, with exponent sign*m."""
-    power = _torus_powers(model, torus, trunc)
+    power = _torus_powers(torus, trunc)
     out = smat_zero(model.N)
     for i in range(model.N):
         for j in range(model.N):
@@ -207,7 +207,7 @@ def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries], q: SeriesMatr
     if planck != 0:
         for r, c in torus.items():
             rate = c.derivative() * c.inverse(trunc=trunc)
-            if rate.is_zero():
+            if is_exact_zero(rate):
                 continue
             term = planck * deriv * rate
             for i in range(model.N):
@@ -255,9 +255,9 @@ def _apply_step(model: LieModel, u: SeriesMatrix, q: SeriesMatrix,
     return out
 
 
-def gauge_apply(conn: OperConnection, b: GaugeElement, deriv: Optional[LaurentSeries] = None,
+def gauge_apply(conn: OperConnection, b: GaugeElement,
                 trunc: Optional[int] = None) -> OperConnection:
-    """Act on the connection; `deriv` replaces d/dz by deriv * d/dz.
+    """Act on the connection.
 
     `trunc` bounds the inverses of torus coordinates, which an exact
     non-monomial coordinate needs.
@@ -265,13 +265,12 @@ def gauge_apply(conn: OperConnection, b: GaugeElement, deriv: Optional[LaurentSe
     if b.model != conn.model:
         raise PreconditionError("gauge element belongs to a different model")
     b.validate()
-    f = ONE if deriv is None else deriv
     q = conn.q
     if b.torus:
-        q = _apply_torus(conn.model, b.torus, q, conn.planck, f, trunc)
+        q = _apply_torus(conn.model, b.torus, q, conn.planck, ONE, trunc)
     for u in b.steps:
         if not smat_is_exact_zero(u):
-            q = _apply_step(conn.model, u, q, conn.planck, f)
+            q = _apply_step(conn.model, u, q, conn.planck, ONE)
     return OperConnection(conn.model, conn.planck, q)
 
 

@@ -22,7 +22,6 @@ from .matrices import (
     fmat_combine,
     fmat_comm,
     fmat_inverse,
-    fmat_transpose,
     nullspace,
     rref,
     smat_combine,
@@ -132,8 +131,8 @@ class LieModel:
 
         self._init_root_vectors()
         self._init_coweights()
-        self._graded: Dict[int, List[FracMatrix]] = {}
-        self._extract: Dict[int, Tuple[List[Tuple[int, int]], FracMatrix]] = {}
+        # degree -> (basis, reads); reads is None for A at degree 0
+        self._graded: Dict[int, Tuple[List[FracMatrix], Optional[list]]] = {}
         self._kostant: Dict[int, dict] = {}
 
     # -- construction of the principal triple ---------------------------------
@@ -208,12 +207,6 @@ class LieModel:
 
     # -- gradings ---------------------------------------------------------------
 
-    def grade(self, i: int, j: int) -> int:
-        return self.grades[i][j]
-
-    def positions_of_grade(self, d: int) -> List[Tuple[int, int]]:
-        return [(i, j) for i in range(self.N) for j in range(self.N) if self.grade(i, j) == d]
-
     def root_coords(self, i: int, j: int) -> Tuple[int, ...]:
         """Coordinates of the position weight in the simple root basis."""
         if (i, j) not in self._root_coords:
@@ -229,51 +222,45 @@ class LieModel:
     def graded_basis(self, d: int) -> List[FracMatrix]:
         """Basis of the degree-d part of the model, one vector per free position.
 
-        For B, C and D a position whose mate comes earlier in row-major order
-        gives its pair vector; a position that is its own mate gives one only
-        when c = 1.  For A the units span every d != 0, and the E_pp - E_00
-        span the traceless diagonal.
+        For B, C and D a position p whose mate comes earlier in row-major
+        order gives its pair vector E_p + c E_mate, and its coordinate is read
+        at the mate as X[mate] / c (after gauge steps X[p] and X[mate] can
+        carry different truncation orders); a position that is its own mate
+        gives one only when c = 1.  For A the units span every d != 0, each
+        read at its own position, and the E_pp - E_00 span the traceless
+        diagonal: coordinate p is X[p][p] for p < N - 1 and the last one is
+        -(X[0][0] + ... + X[N-2][N-2]).
         """
-        if d in self._graded:
-            return self._graded[d]
-        if self.family == "A" and d == 0:
-            basis = [self._matrix({(p, p): Fraction(1), (0, 0): Fraction(-1)})
-                     for p in range(1, self.N)]
-        else:
-            basis = []
-            for i, j in self.positions_of_grade(d):
-                if self.signs is not None:
-                    mate, c = self._mate(i, j)
-                    if mate > (i, j) or (mate == (i, j) and c != 1):
-                        continue
-                basis.append(self._pair_vector(i, j))
-        self._graded[d] = basis
-        return basis
+        if d not in self._graded:
+            if self.family == "A" and d == 0:
+                basis = [self._matrix({(p, p): Fraction(1), (0, 0): Fraction(-1)})
+                         for p in range(1, self.N)]
+                reads = None
+            else:
+                basis, reads = [], []
+                for i in range(self.N):
+                    for j in range(self.N):
+                        if self.grades[i][j] != d:
+                            continue
+                        mate, c = (i, j), Fraction(1)
+                        if self.signs is not None:
+                            mate, c = self._mate(i, j)
+                            if mate > (i, j) or (mate == (i, j) and c != 1):
+                                continue
+                        basis.append(self._pair_vector(i, j))
+                        reads.append((mate, 1 / c))
+            self._graded[d] = basis, reads
+        return self._graded[d][0]
 
-    def _extraction(self, d: int):
-        """Pivot positions and the rational matrix recovering coordinates."""
-        if d in self._extract:
-            return self._extract[d]
-        basis = self.graded_basis(d)
-        pos = self.positions_of_grade(d)
-        rows = [[b[i][j] for (i, j) in pos] for b in basis]
-        _, pivots = rref(rows)
-        ppos = [pos[p] for p in pivots]
-        G = tuple(tuple(rows[i][p] for p in pivots) for i in range(len(basis)))
-        E = fmat_inverse(fmat_transpose(G))
-        self._extract[d] = (ppos, E)
-        return ppos, E
-
-    def coords(self, d: int, X: SeriesMatrix) -> List[LaurentSeries]:
-        """Coordinates of the degree-d part of any model matrix X in the graded
-        basis, read only at the degree-d pivot entries of X."""
-        ppos, E = self._extraction(d)
-        return apply_frac(E, [X[i][j] for (i, j) in ppos])
-
-    def _coords_frac(self, d: int, X: FracMatrix) -> List[Fraction]:
-        ppos, E = self._extraction(d)
-        vals = [X[i][j] for (i, j) in ppos]
-        return [sum((r * v for r, v in zip(row, vals)), Fraction(0)) for row in E]
+    def coords(self, d: int, X: Union[SeriesMatrix, FracMatrix]) -> list:
+        """Coordinates of the degree-d part of any model matrix X, of series or
+        of rationals, in the graded basis, read where :meth:`graded_basis` says."""
+        self.graded_basis(d)
+        reads = self._graded[d][1]
+        if reads is None:
+            diag = [X[p][p] for p in range(self.N - 1)]
+            return diag[1:] + [-sum(diag[1:], diag[0])]
+        return [X[i][j] * f for (i, j), f in reads]
 
     def subdiagonal_coords(self, X: SeriesMatrix) -> List[LaurentSeries]:
         """Coefficients along the simple negative root vectors."""
@@ -287,7 +274,7 @@ class LieModel:
         basis_up = self.graded_basis(d + 1)
         if basis_up:
             # [x, .] constraints in degree-(d+1) coordinates, one column per vector
-            rows = [self._coords_frac(d + 1, fmat_comm(self.x, b)) for b in basis_d]
+            rows = [self.coords(d + 1, fmat_comm(self.x, b)) for b in basis_d]
             cons = [[rows[j][i] for j in range(len(basis_d))]
                     for i in range(len(basis_up))]
             vecs = nullspace(cons)
@@ -296,7 +283,7 @@ class LieModel:
                     for t in range(len(basis_d))]
         if d == 1:
             # pin x into the first slot, keeping the rest of the eliminated basis
-            xc = self._coords_frac(1, self.x)
+            xc = self.coords(1, self.x)
             picked = [xc]
             for v in vecs:
                 _, pivots = rref(picked + [v])
@@ -313,8 +300,8 @@ class LieModel:
         basis_up = self.graded_basis(d + 1)
         dim = len(basis_d)
         vbasis = self._kerx_basis(d) if d >= 1 else []
-        img = [self._coords_frac(d, fmat_comm(self.y, b)) for b in basis_up]
-        vcols = [self._coords_frac(d, b) for b in vbasis]
+        img = [self.coords(d, fmat_comm(self.y, b)) for b in basis_up]
+        vcols = [self.coords(d, b) for b in vbasis]
         cols = img + vcols
         if len(cols) != dim:
             raise AssertionError("graded splitting has wrong dimension")
@@ -334,7 +321,7 @@ class LieModel:
 
     def kostant_split(self, d: int, X: SeriesMatrix) -> Tuple[SeriesMatrix, List[LaurentSeries]]:
         """Write the degree-d part of X as [y, Z] + sum v_i B_i, Z of degree d+1;
-        X is read only at the degree-d pivots, as in :meth:`coords`."""
+        X is read only where :meth:`coords` reads it."""
         data = self.kostant_data(d)
         c = self.coords(d, X)
         zv = apply_frac(data["Minv"], c)
@@ -369,7 +356,7 @@ class LieModel:
             for j in range(self.N):
                 if q[i][j].is_zero():
                     continue
-                d = self.grade(i, j)
+                d = self.grades[i][j]
                 if d not in parts:
                     parts[d] = [[LaurentSeries.zero() for _ in range(self.N)]
                                 for _ in range(self.N)]

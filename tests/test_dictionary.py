@@ -30,6 +30,7 @@ from opercalc.errors import (
 )
 from opercalc.dictionary import (
     FlaggedSystem,
+    _series_solve,
     as_flagged,
     companion_system,
     companion_torus,
@@ -541,6 +542,12 @@ class TestEvenOrthogonal:
         _, sym = so_even_build(op, f, depth=5)
         # order -1 coefficient of f ; D^-1 ; f is f^2
         assert sym.coeffs.get(-1, ZERO).agrees(f.series * f.series)
+
+    def test_solve_eliminates_a_truncated_zero(self):
+        # rows [1, 0 | 1] and [O(z^3), 1 | 2]: x_1 = 2 - O(z^3) is unknown from z^3 on
+        cols = [[ONE, LaurentSeries.zero(3)], [ZERO, ONE]]
+        rhs = [ONE, LaurentSeries.constant(2)]
+        assert _series_solve(cols, rhs, None) == [ONE, LaurentSeries.constant(2, 3)]
 
     def test_conditions_reject_other_families(self):
         rng = random.Random(46)

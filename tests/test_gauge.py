@@ -160,6 +160,13 @@ class TestAction:
         assert out.q[1][1].agrees(F(-1, 2) * rate)
         assert out.q[1][0].agrees(c)
 
+    def test_truncated_unit_torus_keeps_its_rate(self):
+        # c = 1 + O(z^5) has the rate c'/c = O(z^4): unknown from order 4 on, not 0
+        sl2 = model("A", 1)
+        b = GaugeElement(sl2, {0: LaurentSeries.one(5)}, [])
+        out = gauge_apply(OperConnection(sl2, F(1), smat_from_frac(sl2.y)), b).q
+        assert out[0][0] == out[1][1] == LaurentSeries.zero(4)
+
     @pytest.mark.parametrize("family,rank", MODELS)
     def test_composition_law(self, family, rank):
         rng = random.Random(hash((family, rank, "comp")) % 10**6)

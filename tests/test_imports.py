@@ -1,4 +1,4 @@
-"""No library module imports a name it never uses, and no private helper is left unused.
+"""No library module imports a name it never uses, and no private helper or its input is left unused.
 
 The scan reads each module's syntax tree: every name bound by an import
 statement (at any depth) must be read somewhere in the module, as a plain
@@ -7,7 +7,8 @@ name, the base of an attribute, a quoted annotation, or an entry of
 
 A module-level private function or class (``_name``) must be referenced
 somewhere in the package outside its own definition: as a name, an
-attribute or an imported name.
+attribute or an imported name.  Every parameter of such a function must
+be read as a plain name somewhere in its body (nested functions included).
 """
 
 import ast
@@ -91,6 +92,22 @@ def unused_private(sources):
     return sorted((module, name) for module, name, inside in defined if read[name] == inside)
 
 
+def unused_params(source: str):
+    """(function, parameter) of every parameter a module-level private function never reads."""
+    out = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.name, p) for p in params if p not in read]
+    return sorted(out)
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "serialize.py", "series.py"}
 
@@ -104,6 +121,11 @@ def test_no_unused_private_helper():
     assert unused_private({p.name: p.read_text(encoding="utf-8") for p in MODULES}) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_parameter(path):
+    assert unused_params(path.read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("sources,expected", [
     ({"a.py": "def _f(): pass\n"}, [("a.py", "_f")]),
     ({"a.py": "def _f(n):\n    return _f(n - 1)\n"}, [("a.py", "_f")]),
@@ -115,6 +137,23 @@ def test_no_unused_private_helper():
 ])
 def test_private_scanner(sources, expected):
     assert unused_private(sources) == expected
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def _f(a, b):\n    return a\n", [("_f", "b")]),
+    ("def _f(a, *rest, key=1, **kw):\n    return a\n",
+     [("_f", "key"), ("_f", "kw"), ("_f", "rest")]),
+    ("def _f(a, /, b):\n    return a + b\n", []),
+    ("def _f(a):\n    def g():\n        return a\n    return g\n", []),
+    ("def _f(a):\n    return lambda: a\n", []),
+    ("def _f(a):\n    a = 1\n    return 2\n", [("_f", "a")]),
+    ("def _f(a, b=None):\n    return b\n", [("_f", "a")]),
+    ("def f(a):\n    return 1\n", []),
+    ("class C:\n    def _m(self, a):\n        return 1\n", []),
+    ("def __getattr__(name):\n    raise AttributeError\n", []),
+])
+def test_parameter_scanner(source, expected):
+    assert unused_params(source) == expected
 
 
 @pytest.mark.parametrize("source,expected", [

@@ -15,12 +15,16 @@ import pytest
 from opercalc.errors import MalformedInputError
 from opercalc.lie import AlgebraType, LieModel, invariants, model, parse_algebra
 from opercalc.matrices import (
+    apply_frac,
     fmat_combine,
     fmat_comm,
+    fmat_inverse,
     fmat_mul,
+    fmat_transpose,
     rref,
     smat_add,
     smat_agrees,
+    smat_combine,
     smat_comm,
     smat_from_frac,
     smat_identity,
@@ -130,6 +134,75 @@ class TestKostantSplit:
             assert fresh.vbasis_fingerprint() == model(family, rank).vbasis_fingerprint()
             prints[(family, rank)] = fresh.vbasis_fingerprint()
         assert len(set(prints.values())) == len(prints)
+
+
+def elimination_oracle(m, d):
+    """Pivot positions and recovering matrix of the degree-d coordinates by
+    elimination: the rref of the basis rows over the degree-d positions, then
+    the inverse of the transposed pivot block."""
+    pos = [(i, j) for i in range(m.N) for j in range(m.N) if m.grades[i][j] == d]
+    basis = m.graded_basis(d)
+    rows = [[b[i][j] for (i, j) in pos] for b in basis]
+    _, pivots = rref(rows)
+    block = tuple(tuple(row[p] for p in pivots) for row in rows)
+    return [pos[p] for p in pivots], fmat_inverse(fmat_transpose(block))
+
+
+def oracle_coords(m, d, X):
+    ppos, E = elimination_oracle(m, d)
+    vals = [X[i][j] for (i, j) in ppos]
+    if isinstance(X, tuple):
+        return [sum((r * v for r, v in zip(row, vals)), F(0)) for row in E]
+    return apply_frac(E, vals)
+
+
+def rnd_entry(rng):
+    """Exact zero, truncated zero, exact or truncated series, at random."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return LaurentSeries.zero()
+    if kind == 1:
+        return LaurentSeries.zero(rng.randint(-1, 6))
+    terms = {k: F(rng.randint(-5, 5), rng.randint(1, 4))
+             for k in range(rng.randint(-2, 0), rng.randint(1, 5))}
+    return LaurentSeries.from_terms(terms, None if kind == 2 else rng.randint(2, 9))
+
+
+COORD_MODELS = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(1, 7)]
+                + [("C", r) for r in range(1, 7)] + [("D", r) for r in range(2, 7)])
+
+
+class TestCoords:
+    """coords reads one entry per coordinate (a trace on A's diagonal) and
+    must give exactly what the elimination gives, on any matrix."""
+
+    @pytest.mark.parametrize("family,rank", COORD_MODELS)
+    def test_matches_elimination(self, family, rank):
+        rng = random.Random(f"coords:{family}:{rank}")
+        m = model(family, rank)
+        degrees = range(-m.dmax - 1, m.dmax + 2)
+        for _ in range(3):
+            inside = smat_zero(m.N)
+            for d in degrees:
+                basis = m.graded_basis(d)
+                if basis:
+                    coeffs = [rnd_entry(rng) for _ in basis]
+                    inside = smat_add(inside, smat_combine(coeffs, basis))
+            outside = [[rnd_entry(rng) for _ in range(m.N)] for _ in range(m.N)]
+            frac_in = fmat_combine(
+                [F(rng.randint(-9, 9), rng.randint(1, 5)) for d in degrees
+                 for _ in m.graded_basis(d)],
+                [b for d in degrees for b in m.graded_basis(d)])
+            frac_out = rnd_frac_matrix(rng, m.N, m.N, 0.7)
+            for d in degrees:
+                for X in (inside, outside):
+                    got, want = m.coords(d, X), oracle_coords(m, d, X)
+                    assert ([(s.val, s.nums, s.den, s.trunc) for s in got]
+                            == [(s.val, s.nums, s.den, s.trunc) for s in want]), d
+                for X in (frac_in, frac_out):
+                    got = m.coords(d, X)
+                    assert got == oracle_coords(m, d, X), d
+                    assert all(type(x) is F for x in got), d
 
 
 # the complement bases fix every normal form written to disk, so their
