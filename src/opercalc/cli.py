@@ -374,7 +374,7 @@ def _selftest_cases():
         normalize,
     )
     from .lie import model, moduli_dimension
-    from .series import Density, LaurentSeries
+    from .series import LaurentSeries
 
     one = LaurentSeries.one()
     u = LaurentSeries.from_terms({0: 3, 1: 1, 3: -2})
@@ -389,7 +389,7 @@ def _selftest_cases():
     def normalization():
         m = model("A", 1)
         z = LaurentSeries.monomial(1, 1)
-        cf = CanonicalForm(m, Fraction(1), (Density(z * z + 2 * z, 2),))
+        cf = CanonicalForm.of(m, Fraction(1), (z * z + 2 * z,))
         conn = cf.connection()
         g, cf2 = normalize(conn)
         yield "normalize-fixed-point", g.is_identity() and cf2.agrees(cf)

@@ -243,9 +243,7 @@ def _constant_of(s: LaurentSeries) -> Fraction:
 def _canonical_readoff(model: LieModel, planck: Fraction,
                        vals: Sequence[LaurentSeries],
                        trunc: Optional[int]) -> List[LaurentSeries]:
-    dens = tuple(Density(v, d + 1) for d, v in zip(model.exponents, vals))
-    cf = CanonicalForm(model, planck, dens)
-    return _flag_readoff(cf.matrix(), planck, trunc)
+    return _flag_readoff(CanonicalForm.of(model, planck, vals).matrix(), planck, trunc)
 
 
 def verify_flag_pairing(op: DiffOp, trunc: Optional[int] = None):
@@ -340,8 +338,7 @@ def _selfdual_connection(op: DiffOp, kind: str, trunc: Optional[int]) -> OperCon
                 "operator is not in the image of the canonical connections of this kind"
             )
     verify_flag_pairing(op, trunc=trunc)
-    dens = tuple(Density(v, d + 1) for d, v in zip(exps, vals))
-    return CanonicalForm(model, h, dens).connection()
+    return CanonicalForm.of(model, h, vals).connection()
 
 
 # -- duality ---------------------------------------------------------------------

@@ -150,6 +150,14 @@ class CanonicalForm(Record):
         object.__setattr__(self, "planck", planck)
         object.__setattr__(self, "v", v)
 
+    @classmethod
+    def of(cls, model: LieModel, planck: Fraction,
+           series: Sequence[LaurentSeries]) -> "CanonicalForm":
+        """The form whose i-th density is series[i], of weight d + 1 for the i-th exponent d."""
+        if len(series) != model.rank:
+            raise PreconditionError(f"expected {model.rank} canonical series, got {len(series)}")
+        return cls(model, planck, tuple(Density(s, d + 1) for d, s in zip(model.exponents, series)))
+
     def matrix(self) -> SeriesMatrix:
         m = self.model
         vbasis = [b for d in sorted(set(m.exponents)) for b in m.kostant_data(d)["vbasis"]]
@@ -395,10 +403,7 @@ def normalize(conn: OperConnection, trunc: Optional[int] = None,
                 q = _apply_step(model, u, q, conn.planck, f)
         elif not smat_is_zero(z):
             raise AssertionError("defect left above the top exponent")
-    dens = tuple(
-        Density(s, Fraction(d + 1)) for d, s in zip(sorted(model.exponents), vout)
-    )
-    return GaugeElement(model, torus, steps), CanonicalForm(model, conn.planck, dens)
+    return GaugeElement(model, torus, steps), CanonicalForm.of(model, conn.planck, vout)
 
 
 def normalize_singular(f: LaurentSeries, conn: OperConnection,
@@ -455,8 +460,7 @@ def desingularize(f: LaurentSeries, cf: CanonicalForm,
         if not smat_is_zero(z):
             raise IdentityCheckError(f"desingularized connection has a defect in degree {d}")
         vout.extend(v)
-    dens = tuple(Density(s, Fraction(d + 1)) for d, s in zip(sorted(model.exponents), vout))
-    return CanonicalForm(model, h, dens)
+    return CanonicalForm.of(model, h, vout)
 
 
 def desingularize_componentwise(f: LaurentSeries, cf: CanonicalForm,
@@ -470,15 +474,10 @@ def desingularize_componentwise(f: LaurentSeries, cf: CanonicalForm,
     corr = (f.derivative().derivative() * f * Fraction(1, 2)
             - f.derivative() * f.derivative() * Fraction(1, 4)) * (h * h)
     out = []
-    slot = 0
-    for d in sorted(set(model.exponents)):
-        for _ in range(model.kostant_data(d)["vdim"]):
-            s = cf.v[slot].series
-            if d == 1:
-                s = s + corr
-            out.append(Density(s * f.power_rational(-d - 1, trunc=trunc), Fraction(d + 1)))
-            slot += 1
-    return CanonicalForm(model, h, tuple(out))
+    for d, dens in zip(model.exponents, cf.v):
+        s = dens.series + corr if d == 1 else dens.series
+        out.append(s * f.power_rational(-d - 1, trunc=trunc))
+    return CanonicalForm.of(model, h, out)
 
 
 def classify_singularity(cf: CanonicalForm) -> Tuple[int, List[Tuple[int, int]]]:
@@ -502,16 +501,7 @@ def embed_sl2(model: LieModel, planck: Fraction, u: Density,
         raise PreconditionError("the quadratic coordinate must have weight 2")
     if model.kostant_data(1)["vdim"] != 1:
         raise PreconditionError("embedding needs a one-dimensional degree-1 slot")
-    high = [(d, b) for d in sorted(set(model.exponents)) if d > 1
-            for b in model.kostant_data(d)["vbasis"]]
-    if len(etas) != len(high):
-        raise PreconditionError(f"expected {len(high)} higher densities, got {len(etas)}")
-    for (d, _), eta in zip(high, etas):
-        if eta.weight != d + 1:
-            raise PreconditionError(f"density for exponent {d} must have weight {d + 1}")
-    q = smat_combine([ONE, -u.series] + [eta.series for eta in etas],
-                     [model.y, model.x] + [b for _, b in high])
-    return OperConnection(model, planck, q)
+    return CanonicalForm(model, planck, (-u, *etas)).connection()
 
 
 def act_quadratic_differential(conn: OperConnection, omega: Density,

@@ -198,12 +198,10 @@ class LieModel:
             return diag[pos[0]] - diag[pos[1]]
 
         A = [[pair(self.simple_positions[s], basis[r]) for r in range(n)] for s in range(n)]
-        self.coweights: List[List[Fraction]] = []
-        for r in range(n):
-            rhs = [Fraction(1 if s == r else 0) for s in range(n)]
-            sol = solve_exact(A, rhs)
-            self.coweights.append([sum((sol[t] * basis[t][i] for t in range(n)), Fraction(0))
-                                   for i in range(N)])
+        Ainv = fmat_inverse(A)  # coweight r solves A sol = e_r: column r of A^-1
+        self.coweights: List[List[Fraction]] = [
+            [sum((Ainv[t][r] * basis[t][i] for t in range(n)), Fraction(0)) for i in range(N)]
+            for r in range(n)]
 
     # -- gradings ---------------------------------------------------------------
 
@@ -260,7 +258,7 @@ class LieModel:
         if reads is None:
             diag = [X[p][p] for p in range(self.N - 1)]
             return diag[1:] + [-sum(diag[1:], diag[0])]
-        return [X[i][j] * f for (i, j), f in reads]
+        return [X[i][j] if f == 1 else X[i][j] * f for (i, j), f in reads]
 
     def subdiagonal_coords(self, X: SeriesMatrix) -> List[LaurentSeries]:
         """Coefficients along the simple negative root vectors."""

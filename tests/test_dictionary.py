@@ -144,6 +144,27 @@ class TestFlaggedSystem:
         with pytest.raises(PreconditionError):
             companion_system(op)
 
+    def test_companion_requires_positive_order(self):
+        with pytest.raises(PreconditionError, match="positive order"):
+            companion_system(DiffOp.from_map({0: ONE}, 0, 0, 1))
+
+
+class TestKindChecks:
+    def test_readoff_kind_must_match_the_model(self):
+        conn = rnd_canonical(random.Random(5), "A", 2)
+        with pytest.raises(PreconditionError, match="carries kind 'sl', not 'sp'"):
+            diffop_from_oper(conn, "sp")
+
+    def test_gl_needs_a_monic_operator(self):
+        op = DiffOp.from_map({2: 2 * ONE, 0: Z}, 0, 2, 1)
+        with pytest.raises(PreconditionError, match="principal symbol must be 1"):
+            oper_from_diffop(op, "gl")
+
+    def test_sl_needs_order_two(self):
+        op = DiffOp.from_map({1: ONE, 0: Z}, 0, 1, 1)
+        with pytest.raises(PreconditionError, match="order at least 2"):
+            oper_from_diffop(op, "sl")
+
 
 class TestReadoffRoundTrips:
     def test_gl_round_trip(self):

@@ -324,6 +324,16 @@ class TestPairing:
         with pytest.raises(InsufficientTruncationError):
             pairing(D, D, L, depth=0)
 
+    def test_right_slot_must_be_an_operator(self):
+        L = d_power(2, F(-1, 2), F(3, 2))
+        D = d_power(1, F(-1, 2), F(3, 2))
+        with pytest.raises(PreconditionError, match="right slot"):
+            pairing(D, pseudo_invert(L, 1), L)
+
+    def test_negative_depth_refused(self):
+        with pytest.raises(PreconditionError, match="depth must be nonnegative"):
+            pseudo_invert(d_power(2, F(-1, 2), F(3, 2)), -1)
+
     def gram(self, n):
         L = d_power(n, F(1 - n, 2), F(1 + n, 2))
         basis = [d_power(i, F(1 - n, 2), F(1 + n, 2)) for i in range(n)]

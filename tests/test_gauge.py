@@ -362,6 +362,17 @@ class TestNormalize:
             normalize_singular(LaurentSeries.monomial(1, -1), conn)
 
 
+def embed_sl2_reference(m, planck, u, etas):
+    """y - u x + sum eta_d B_d, combined slot by slot over the complement bases above 1."""
+    high = [(d, b) for d in sorted(set(m.exponents)) if d > 1
+            for b in m.kostant_data(d)["vbasis"]]
+    assert len(etas) == len(high)
+    assert all(eta.weight == d + 1 for (d, _), eta in zip(high, etas))
+    q = smat_combine([ONE, -u.series] + [eta.series for eta in etas],
+                     [m.y, m.x] + [b for _, b in high])
+    return OperConnection(m, planck, q)
+
+
 class TestQuadraticShift:
     def test_embed_round_trip(self):
         rng = random.Random(21)
@@ -386,6 +397,26 @@ class TestQuadraticShift:
             embed_sl2(m, F(1), Density(ONE, F(2)), ())  # missing eta for d = 2
         with pytest.raises(PreconditionError):
             embed_sl2(model("D", 2), F(1), Density(ONE, F(2)))
+
+    @pytest.mark.parametrize("family,rank", MODELS)
+    def test_embed_matches_slotwise_reference(self, family, rank):
+        m = model(family, rank)
+        rng = random.Random(f"embed:{family}{rank}")
+
+        def dens(weight, exact):
+            terms = {k: F(rng.randint(-4, 4), rng.randint(1, 3)) for k in range(-1, 6)}
+            trunc = None if exact else rng.randint(2, 8)
+            return Density(LaurentSeries.from_terms(terms, trunc), weight)
+
+        for planck in (F(1), F(1, 2), F(0)):
+            for exact in (True, False):
+                u = dens(F(2), exact)
+                etas = [dens(F(d + 1), exact) for d in m.exponents[1:]]
+                got = embed_sl2(m, planck, u, etas)
+                want = embed_sl2_reference(m, planck, u, etas)
+                assert (got.model, got.planck) == (want.model, want.planck)
+                assert [[_key(x) for x in row] for row in got.q] == \
+                    [[_key(x) for x in row] for row in want.q]
 
     def test_shift_on_canonical_forms(self):
         # on a canonical connection the shift is literally q - omega x
@@ -661,6 +692,48 @@ class TestGroupLaws:
         g, cf2 = normalize(cf.connection())
         assert g.is_identity()
         assert cf2.agrees(cf)
+
+
+class TestInputChecks:
+    def test_connection_outside_the_model(self):
+        conn = OperConnection(model("A", 1), F(1), [[ONE, ZERO], [ONE, ZERO]])
+        with pytest.raises(PreconditionError, match="violates the algebra constraints"):
+            conn.validate()
+
+    def test_step_outside_the_model(self):
+        # the degree-1 unit E_01 of C:2 without its mate E_23
+        m = model("C", 2)
+        u = smat_zero(m.N)
+        u[0][1] = ONE
+        with pytest.raises(PreconditionError, match="step 1 violates the algebra constraints"):
+            GaugeElement(m, {}, [u]).validate()
+
+    def test_apply_and_compose_need_one_model(self):
+        a1, a2 = model("A", 1), model("A", 2)
+        conn = OperConnection(a1, F(1), smat_from_frac(a1.y))
+        with pytest.raises(PreconditionError, match="different model"):
+            gauge_apply(conn, identity_gauge(a2))
+        with pytest.raises(PreconditionError, match="different models"):
+            gauge_compose(identity_gauge(a1), identity_gauge(a2))
+
+    def test_canonical_form_of_pairs_series_with_exponents(self):
+        m = model("D", 4)  # exponents 1, 3, 3, 5
+        series = [ONE, Z, 2 * Z, ONE]
+        want = CanonicalForm(m, F(1), tuple(map(Density, series, [2, 4, 4, 6])))
+        assert CanonicalForm.of(m, F(1), series) == want
+        for series in ([ONE] * 3, [ONE] * 5):
+            with pytest.raises(PreconditionError, match="expected 4 canonical series"):
+                CanonicalForm.of(m, F(1), series)
+
+    def test_desingularize_by_exact_zero(self):
+        cf = CanonicalForm(model("A", 1), F(1), (Density(ONE, F(2)),))
+        with pytest.raises(PreconditionError, match="identically zero"):
+            desingularize(ZERO, cf)
+
+    def test_shift_needs_unit_root_coefficients(self):
+        conn = OperConnection(model("A", 1), F(1), [[ZERO, ZERO], [Z, ZERO]])
+        with pytest.raises(NotAnOperError, match="invertible simple-root coefficients"):
+            act_quadratic_differential(conn, Density(ONE, F(2)))
 
 
 # -- outputs pinned bit for bit ---------------------------------------------------------

@@ -230,6 +230,13 @@ class TestParityExtension:
         with pytest.raises(PreconditionError):
             K.symmetrize_lift(1, 0)
 
+    def test_parity_and_extension_checked(self):
+        K = second_order_kernel(U)
+        with pytest.raises(PreconditionError, match="parity must be"):
+            K.symmetrize_lift(0, 1)
+        with pytest.raises(PreconditionError, match="must be nonnegative"):
+            K.symmetrize_lift(-1, -1)
+
     def test_even_extension(self):
         K = BiKernel(1, 1, 0, 0, {0: U})
         L = K.symmetrize_lift(1, 2)
@@ -254,6 +261,20 @@ class TestLinear:
     def test_out_of_range_coefficient_rejected(self):
         with pytest.raises(PreconditionError):
             BiKernel(1, 1, -1, 0, {1: ONE})
+
+    def test_empty_range_rejected(self):
+        with pytest.raises(PreconditionError, match="empty expansion range"):
+            BiKernel(1, 1, 0, -1, {})
+
+    def test_coeff_outside_range(self):
+        with pytest.raises(PreconditionError, match="outside range"):
+            BiKernel(1, 1, -1, 0, {-1: ONE}).coeff(1)
+
+    def test_range_mismatch(self):
+        A = BiKernel(1, 1, -1, 0, {-1: ONE})
+        B = BiKernel(1, 1, -2, 0, {-2: ONE})
+        with pytest.raises(PreconditionError, match="different ranges"):
+            A + B
 
     def test_common_jet_order(self):
         a = LaurentSeries.from_terms({0: 1}, trunc=5)

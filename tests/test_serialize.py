@@ -13,7 +13,7 @@ import pytest
 
 from opercalc import __version__
 from opercalc import serialize as ser
-from opercalc.diffops import DiffOp, kernel_from_diffop
+from opercalc.diffops import DiffOp, kernel_from_diffop, pseudo_invert
 from opercalc.errors import MalformedInputError
 from opercalc.dictionary import oper_from_diffop
 from opercalc.gauge import (
@@ -179,6 +179,7 @@ class TestDetection:
             (ser.diffop_obj(DiffOp.from_map({1: ONE}, 0, 1, 1)), "diffop"),
             (ser.canonical_obj(CanonicalForm(model("A", 1), F(1), (Density(U, 2),))), "canonical"),
             (ser.gauge_obj(GaugeElement(model("A", 1), {0: ONE}, [])), "gauge"),
+            (ser.symbol_obj(pseudo_invert(DiffOp.from_map({1: ONE}, 0, 1, 1), 2)), "symbol"),
         ]
         for doc, want in cases:
             doc = json.loads(json.dumps(doc))
@@ -189,6 +190,10 @@ class TestDetection:
     def test_unrecognizable(self):
         with pytest.raises(MalformedInputError):
             ser.detect_format({"x": 1})
+
+    def test_unknown_tag(self):
+        with pytest.raises(MalformedInputError, match="unknown format tag"):
+            ser.detect_format({"format": "spinor"})
 
 
 class TestValidation:
@@ -237,6 +242,33 @@ class TestValidation:
         base = self.doc(ser.diffop_obj, op)
         with pytest.raises(MalformedInputError):
             ser.diffop_load(dict(base, order=3))
+
+    def test_density_needs_weight(self):
+        base = self.doc(ser.density_obj, Density(U, 2))
+        del base["weight"]
+        with pytest.raises(MalformedInputError, match="density needs a weight"):
+            ser.density_load(base)
+
+    def test_kernel_keys_are_integers(self):
+        base = self.doc(ser.kernel_obj, kernel_from_diffop(DiffOp.from_map({1: ONE}, 0, 1, 1)))
+        broken = dict(base, coeffs={"x": ser.series_obj(ONE)})
+        with pytest.raises(MalformedInputError, match="keys must be integers"):
+            ser.kernel_load(broken)
+
+    def test_unknown_algebra_type(self):
+        with pytest.raises(MalformedInputError, match="unknown algebra type"):
+            ser.algebra_load({"type": "E", "rank": 6})
+
+    def test_gauge_names_its_algebra(self):
+        base = self.doc(ser.gauge_obj, GaugeElement(model("A", 1), {0: ONE}, []))
+        del base["algebra"]
+        with pytest.raises(MalformedInputError, match="does not name its algebra"):
+            ser.gauge_load(base)
+
+    def test_symbol_range_consistency(self):
+        base = self.doc(ser.symbol_obj, pseudo_invert(DiffOp.from_map({1: ONE}, 0, 1, 1), 2))
+        with pytest.raises(MalformedInputError, match="symbol range disagrees"):
+            ser.symbol_load(dict(base, order=base["order"] + 1))
 
     def test_gauge_torus_keys(self):
         g = GaugeElement(model("A", 1), {0: ONE}, [])
