@@ -225,13 +225,14 @@ def _products(pairs: Sequence[Tuple[Tuple[int, LaurentSeries], Tuple[int, Lauren
     derivs: Dict[int, List[LaurentSeries]] = {}  # keyed by id: pairs holds every g
     scaled: Dict[Tuple[int, int, int], LaurentSeries] = {}
     terms: Dict[int, List[Tuple[LaurentSeries, LaurentSeries]]] = {}
+    flat, unit = h == 0, h == 1
     for (i, f), (j, g) in pairs:
         if is_exact_zero(f) or is_exact_zero(g):
             continue
         kk_hi = i + j - lo
         if i >= 0:
             kk_hi = min(kk_hi, i)
-        if h == 0:
+        if flat:
             kk_hi = min(kk_hi, 0)
         ds = derivs.setdefault(id(g), [g])
         for kk in range(max(0, i + j - hi), kk_hi + 1):
@@ -242,7 +243,7 @@ def _products(pairs: Sequence[Tuple[Tuple[int, LaurentSeries], Tuple[int, Lauren
                 break  # so is every later derivative
             fk = scaled.get((id(f), i, kk))
             if fk is None:
-                c = _gbinom(i, kk) * (h**kk if h != 1 else 1)
+                c = _gbinom(i, kk) * (1 if unit else h**kk)
                 fk = scaled[(id(f), i, kk)] = f if c == 1 else c * f
             terms.setdefault(i + j - kk, []).append((fk, gk))
     return {k: t[0][0] * t[0][1] if len(t) == 1 else dot(t) for k, t in terms.items()}

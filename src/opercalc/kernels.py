@@ -91,18 +91,19 @@ class BiKernel:
         The bidegree swaps; each differentiation costs one certified order,
         so the jet order drops by the range width in general.
         """
+        # chains[m][i] = c_m^(i), each derivative taken once
+        chains = {}
+        for m, c in self.coeffs.items():
+            chain = [c]
+            for _ in range(self.mmax - m):
+                chain.append(chain[-1].derivative())
+            chains[m] = chain
         out = {}
         for n in range(self.mmin, self.mmax + 1):
             acc = LaurentSeries.zero()
-            for m in range(self.mmin, n + 1):
-                c = self.coeffs.get(m)
-                if c is None:
-                    continue
-                d = c
-                for _ in range(n - m):
-                    d = d.derivative()
-                sign = -1 if m % 2 else 1
-                acc = acc + d * Fraction(sign, factorial(n - m))
+            for m, chain in chains.items():
+                if m <= n:
+                    acc = acc + chain[n - m] * Fraction(-1 if m % 2 else 1, factorial(n - m))
             out[n] = acc
         return BiKernel(self.w2, self.w1, self.mmin, self.mmax, out)
 
@@ -113,9 +114,9 @@ class BiKernel:
         resp. half-integral; the range width is preserved, i.e. the result is
         taken modulo (z1 - z2)^(e*mmin + width + 1).  With K = c0 D^mmin (1 +
         eps), the coefficients of (1 + eps)^e come from Miller's recurrence
-        (:func:`unit_power` with a0 = 1, one division G_k / S_k per
-        coefficient) and are scaled by c0^e; an exact c0 = 1 makes both c0
-        factors the exact series 1.
+        (:func:`unit_power` with a0 = 1: one weighted dot per order, and one
+        division G_k / S_k, S_k = q^(2k), per coefficient) and are scaled by
+        c0^e; an exact c0 = 1 makes both c0 factors the exact series 1.
         """
         e = _fr(e)
         c0 = self.coeff(self.mmin)
@@ -129,7 +130,7 @@ class BiKernel:
         width = self.mmax - self.mmin
         inv0 = c0.inverse()
         eps = [self.coeff(self.mmin + k) * inv0 for k in range(1, width + 1)]
-        G, S = unit_power(eps, e, LaurentSeries.zero(), LaurentSeries.one())
+        G, S = unit_power(eps, e, LaurentSeries.one())
         lead = c0.power_rational(e)
         base = int(em)
         # coefficient k of (1 + eps)^e is G_k / S_k: S_k joins the denominator

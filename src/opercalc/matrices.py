@@ -189,7 +189,7 @@ def smat_comm(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
 
 
 def smat_derivative(a: SeriesMatrix) -> SeriesMatrix:
-    return [[x.derivative() for x in row] for row in a]
+    return [[x if is_exact_zero(x) else x.derivative() for x in row] for row in a]
 
 
 def smat_truncate(a: SeriesMatrix, trunc: Optional[int]) -> SeriesMatrix:

@@ -23,7 +23,13 @@ big-int product is read back slot by slot.  A monomial factor only scales,
 and operands of fewer than four terms are convolved term by term.  A sum of
 products, :func:`dot`, brings its terms over one common denominator and
 packs them all into one integer, so an entry of a series-matrix product is
-built by one ``_series`` call, not by one per product and per partial sum.
+built by one ``_series`` call, not by one per product and per partial sum;
+rational weights on its terms ride in the same denominator scales.
+
+Rational powers run J.C.P. Miller's recurrence fraction-free
+(:func:`unit_power`): the k-th coefficient of (1 + eps)^e, e = p/q, is kept
+as an integer (over the ring of eps) G_k over the scale S_k = (q^2 a_0)^k,
+because binom(p/q, m) q^(2m) is always an integer.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ def fraction_root(c: Fraction, e: Fraction) -> Fraction:
     return (sign * Fraction(rp, rq)) ** e.numerator
 
 
-def unit_power(eps: Sequence, e: Fraction, zero, one, a0: int = 1) -> Tuple[list, List[int]]:
+def unit_power(eps: Sequence, e: Fraction, one, a0: int = 1) -> Tuple[list, List[int]]:
     """Scaled coefficients of (1 + sum_{j=1..n} (eps[j-1] / a0) x^j)^e mod x^(n+1).
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7): g = f^e
@@ -102,35 +108,43 @@ def unit_power(eps: Sequence, e: Fraction, zero, one, a0: int = 1) -> Tuple[list
 
         g_k = (1/(q k)) sum_{j=1..k} ((p+q) j - q k) (eps_j / a0) g_{k-j}.
 
-    Writing g_k = G_k / S_k with S_k = (q a0)^k k! clears every division:
+    Writing g_k = G_k / S_k with S_k = (q^2 a0)^k, and U_j = eps_j q^(2j-1) a0^(j-1),
 
-        G_0 = 1,  G_k = sum_{j=1..k} ((p+q) j - q k) (q a0)^(j-1) (k-1)!/(k-j)! eps_j G_{k-j},
+        G_0 = 1,  k G_k = sum_{j=1..k} ((p+q) j - q k) U_j G_{k-j}.
 
-    so ring elements are multiplied by each other and by Python ints only,
-    in O(n^2) ring operations; zero eps_j, zero G_{k-j} and zero weights are
-    skipped.  Returns the lists G_0..G_n and S_0..S_n.  The ring is given by
-    its `zero` and `one`: ints for series powers (eps the numerators and a0
-    the leading numerator, any nonzero sign), series for kernel powers
-    (a0 = 1).
+    Every G_k is integral over the ring of the eps_j: g_k is a sum of
+    binom(e, m) times coefficients of (sum (eps_j / a0) x^j)^m, m <= k, and
+    binom(p/q, m) q^(2m) is an integer, because a prime r not dividing q
+    never divides its denominator and for r | q that denominator has
+    valuation at most m v_r(q) + v_r(m!) < 2 m v_r(q).  So the division by k
+    is exact.  The ring is given by its `one`:
+      - ints, for series powers (eps the numerators, a0 the leading
+        numerator, of either sign): each order is two C-level integer dots,
+        against U_j and against j U_j, and one exact // k; the dots stop at
+        the last nonzero eps_j;
+      - series, for kernel powers (a0 = 1): each order is one weighted
+        :func:`dot` of the eps_j G_{k-j}, weights ((p+q) j - q k) q^(2j-1) a0^(j-1) / k.
+    Returns the lists G_0..G_n and S_0..S_n.
     """
     p, q = e.numerator, e.denominator
-    qa = q * a0
-    nonzero = [(j, x) for j, x in enumerate(eps, 1) if x != zero]
-    G, S = [one], [1]
-    for k in range(1, len(eps) + 1):
-        # f[j-1] = (q a0)^(j-1) (k-1)!/(k-j)!
-        f = list(accumulate([qa * i for i in range(k - 1, 0, -1)], mul, initial=1))
-        acc = zero
-        for j, x in nonzero:
-            if j > k:
-                break
-            w = (p + q) * j - q * k
-            y = G[k - j]
-            if w and y != zero:
-                acc = acc + x * y * (w * f[j - 1])
-        G.append(acc)
-        S.append(S[-1] * qa * k)
-    return G, S
+    s, n = q * q * a0, len(eps)
+    f = list(accumulate(repeat(s, n - 1), mul, initial=q))  # f[j-1] = q^(2j-1) a0^(j-1)
+    G = [one]
+    if isinstance(one, int):
+        last = n
+        while last and not eps[last - 1]:
+            last -= 1  # U_j = 0 past the last nonzero eps_j, so the dots stop there
+        U = list(map(mul, eps[:last], f))
+        JU = [j * u for j, u in enumerate(U, 1)]
+        for k in range(1, n + 1):
+            # k G_k = (p+q) sum j U_j G_{k-j} - q k sum U_j G_{k-j}
+            b = sum(map(mul, JU[:k], reversed(G)))
+            G.append((p + q) * b // k - q * sum(map(mul, U[:k], reversed(G))))
+    else:
+        for k in range(1, n + 1):
+            G.append(dot(zip(eps[:k], reversed(G)),
+                         [Fraction(((p + q) * j - q * k) * f[j - 1], k) for j in range(1, k + 1)]))
+    return G, [s**k for k in range(n + 1)]
 
 
 _SCHOOL = 4  # a shorter operand is convolved term by term, not packed
@@ -385,12 +399,19 @@ class LaurentSeries:
             p = other.numerator
             if p == 0:
                 return LaurentSeries.zero()
+            if p == 1 and other.denominator == 1:
+                return self
             return _series(self.val, [x * p for x in self.nums], self.den * other.denominator, self.trunc)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if (not self.nums and self.trunc is None) or (not other.nums and other.trunc is None):
             return LaurentSeries.zero()
+        # an exact 1 changes neither the value nor the certified order of the other factor
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
         ta = None if self.trunc is None else self.trunc + other.val
         tb = None if other.trunc is None else other.trunc + self.val
         t = _tmin(ta, tb)
@@ -501,10 +522,10 @@ class LaurentSeries:
         # = r0 z^{ve} sum_k G_k / S_k, brought over r0's denominator times S_{rel-1}
         eps = list(self.nums[1:rel])
         eps += [0] * (rel - 1 - len(eps))  # the certified zeros past the stored nums
-        G, S = unit_power(eps, e, 0, 1, self.nums[0])
+        G, S = unit_power(eps, e, 1, self.nums[0])
         s = S[-1]
         rn = r0.numerator if s > 0 else -r0.numerator
-        nums = [rn * g * (s // sk) for g, sk in zip(G, S)]
+        nums = [rn * g * sk for g, sk in zip(G, reversed(S))]  # S_n / S_k = S_(n-k)
         return _series(int(ve), nums, r0.denominator * abs(s), int(ve) + rel)
 
     def sqrt(self, trunc: Optional[int] = None) -> "LaurentSeries":
@@ -574,17 +595,44 @@ def is_exact_zero(x: LaurentSeries) -> bool:
     return not x.nums and x.trunc is None
 
 
-def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]]) -> LaurentSeries:
-    """sum x * y over the pairs, built as one series with the certified order of the sum.
+def _is_one(x: LaurentSeries) -> bool:
+    """Exactly the series 1 (in canonical form its only stored numerator is 1 over 1)."""
+    return x.trunc is None and x.val == 0 and x.nums == (1,) and x.den == 1
+
+
+def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]],
+        weights: Optional[Iterable[Rat]] = None) -> LaurentSeries:
+    """sum w * x * y over the pairs, built as one series with the certified order of the sum.
 
     Every product is brought over one common denominator and packed at one
     slot width (see :func:`_convolve`), so the whole sum is a single integer
     of shifted big-int products, read back once; exact-zero factors are
-    skipped and a monomial factor only scales the packed other factor.
+    skipped and a monomial factor only scales the packed other factor.  The
+    rational weights (1 each when None) go into the per-term denominator
+    scales; a zero weight skips its term, as 0 * (x * y) is exactly 0.
     """
-    terms = [(x, y) for x, y in pairs if not (is_exact_zero(x) or is_exact_zero(y))]
-    if not terms:
-        return _ZERO
+    if weights is None:
+        terms = [(x, y) for x, y in pairs if not (is_exact_zero(x) or is_exact_zero(y))]
+        ws = None
+    else:
+        terms, ws = [], []
+        for (x, y), w in zip(pairs, weights):
+            if w and not (is_exact_zero(x) or is_exact_zero(y)):
+                terms.append((x, y))
+                ws.append(w)
+    if len(terms) < 2:  # nothing to pack: a lone term costs less as __mul__
+        if not terms:
+            return _ZERO
+        x, y = terms[0]
+        return x * y if ws is None else x * y * ws[0]
+    dens = [x.den * y.den for x, y in terms]
+    if ws is None:
+        den = lcm(*dens)
+        scales = [den // d for d in dens]
+    else:
+        dens = [d * w.denominator for d, w in zip(dens, ws)]
+        den = lcm(*dens)
+        scales = [den // d * w.numerator for d, w in zip(dens, ws)]
     t = lo = hi = None
     for x, y in terms:
         if x.trunc is not None:
@@ -598,11 +646,9 @@ def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]]) -> LaurentSeries:
     if t is not None:
         hi = min(hi, t)
     n = max(0, hi - lo)
-    den = lcm(*[x.den * y.den for x, y in terms])
-    scales = [den // (x.den * y.den) for x, y in terms]
     bound = 0
     for (x, y), s in zip(terms, scales):
-        bound += s * min(len(x.nums), len(y.nums)) * _maxabs(x.nums) * _maxabs(y.nums)
+        bound += abs(s) * min(len(x.nums), len(y.nums)) * _maxabs(x.nums) * _maxabs(y.nums)
     kb = _slot_bytes(bound)
     k = 8 * kb
     acc = 0
@@ -631,7 +677,7 @@ def _coerce(x) -> LaurentSeries:
 
 def half_integer(w: Rat) -> Fraction:
     w = _fr(w)
-    if (2 * w).denominator != 1:
+    if w.denominator > 2:
         raise PreconditionError(f"weight {w} is not a half-integer")
     return w
 

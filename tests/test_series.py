@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import factorial, gcd
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -286,9 +286,12 @@ class TestAgrees:
 
 class TestDensity:
     def test_half_integer_weights(self):
-        Density(Z, F(3, 2))
-        with pytest.raises(PreconditionError):
-            Density(Z, F(1, 3))
+        for w in (F(3, 2), F(5, 2), F(-7, 2), F(-4), 3):
+            assert Density(Z, w).weight == w
+        assert type(Density(Z, 3).weight) is F
+        for w in (F(1, 3), F(3, 4), F(-1, 6)):
+            with pytest.raises(PreconditionError, match="is not a half-integer"):
+                Density(Z, w)
 
     def test_weights_add_under_mul(self):
         a = Density(Z, F(1, 2))
@@ -460,6 +463,31 @@ class TestIntegerRepresentation:
         check(a * b, naive_product(a, b))
 
     @SETTINGS
+    @given(raw_series(), st.integers(0, 4))
+    @example((2, [F(3), F(-1, 2)], None), 3)  # exact
+    @example((-3, [F(1, 2), F(0), F(5)], 4), 2)  # truncated, negative valuation
+    @example((0, [], 3), 2)  # truncated zero
+    @example((-2, [F(1)], None), 4)  # exact monomial of negative valuation
+    def test_product_with_exact_one(self, ra, k):
+        # an exact 1 on either side, as a series, an int or a Fraction, and the
+        # exact 1 that x**k starts from, against the Fraction double loop
+        a, _ = build(ra)
+        one = LaurentSeries.one()
+        ref = naive_product(a, one)
+        for got in (a * one, one * a, a * 1, 1 * a, a * F(1), F(1) * a):
+            check(got, ref)
+            assert key(got) == key(LaurentSeries(*ref))
+        # a truncated 1 is not the exact 1: it still bounds the certified order
+        one_t = LaurentSeries.one(2)
+        check(a * one_t, naive_product(a, one_t))
+        check(one_t * a, naive_product(one_t, a))
+        power = LaurentSeries.one()
+        for _ in range(k):
+            power = LaurentSeries(*naive_product(power, a))
+        check(a**k, (power.val, power.coeffs, power.trunc))
+        assert key(a**k) == key(power)
+
+    @SETTINGS
     @given(raw_series(min_len=1), st.one_of(st.none(), st.integers(-6, 12)))
     def test_inverse(self, ra, trunc):
         a, ra = build(ra)
@@ -577,7 +605,7 @@ class TestFractionFreePower:
                                                (F(-8), F(1, 3), F(-2)), (F(-8), F(2, 3), F(4)),
                                                (F(-8), F(-1, 3), F(-1, 2))])
     def test_leading_coefficients(self, lead, e, root):
-        # a negative leading numerator makes the scales (q a0)^k k! alternate in sign
+        # a negative leading numerator makes the scales (q^2 a0)^k alternate in sign
         cs = [lead, F(3), F(0), F(-1, 2), F(0), F(0), F(5, 7)]
         for val in (-3 * e.denominator, 0, 2 * e.denominator):
             got = LaurentSeries(val, cs, val + 20).power_rational(e)
@@ -585,12 +613,31 @@ class TestFractionFreePower:
             assert got.den > 0
 
     def test_unit_power_scales(self):
-        # G_k / S_k are the coefficients of (1 + sum (eps_j / a0) x^j)^e, S_k = (q a0)^k k!
+        # G_k / S_k are the coefficients of (1 + sum (eps_j / a0) x^j)^e, S_k = (q^2 a0)^k
         eps, a0, e = [3, 0, -2, 7, 0, 1], -5, F(-2, 3)
-        G, S = unit_power(eps, e, 0, 1, a0)
-        assert S == [(3 * a0) ** k * factorial(k) for k in range(len(eps) + 1)]
+        G, S = unit_power(eps, e, 1, a0)
+        assert S == [(3**2 * a0) ** k for k in range(len(eps) + 1)]
         assert all(type(g) is int for g in G)
         assert [F(g, s) for g, s in zip(G, S)] == miller([F(0)] + [F(x, a0) for x in eps], e, 7)
+
+    @SETTINGS
+    @given(st.sampled_from([F(-7, 6), F(5, 4), F(4, 9), F(-1, 3), F(5, 2)]),
+           st.lists(st.one_of(st.just(0), st.integers(-30, 30)), max_size=24),
+           st.integers(1, 12), st.booleans())
+    def test_scaled_coefficients_are_integers(self, e, eps, a, negative):
+        # k G_k = sum ((p+q) j - q k) U_j G_(k-j), U_j = eps_j q^(2j-1) a0^(j-1), recomputed
+        # here from the returned G: the sum must be a multiple of k, for every a0 sign
+        a0 = -a if negative else a
+        p, q = e.numerator, e.denominator
+        G, S = unit_power(eps, e, 1, a0)
+        assert all(type(g) is int for g in G)
+        U = [x * q ** (2 * j - 1) * a0 ** (j - 1) for j, x in enumerate(eps, 1)]
+        for k in range(1, len(eps) + 1):
+            total = sum(((p + q) * j - q * k) * U[j - 1] * G[k - j] for j in range(1, k + 1))
+            assert total % k == 0 and total // k == G[k]
+        assert S == [(q * q * a0) ** k for k in range(len(eps) + 1)]
+        n = len(eps) + 1
+        assert [F(g, s) for g, s in zip(G, S)] == miller([F(0)] + [F(x, a0) for x in eps], e, n)
 
 
 # -- the packed integer kernels, against loops written here ------------------------
@@ -617,6 +664,28 @@ def kernel_int(draw):
 
 
 KERNEL = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def dot_factor(draw):
+    """(val, coeffs, trunc): any raw series, a monomial, or wide coefficients over a mixed denominator."""
+    kind = draw(st.sampled_from(["raw", "monomial", "wide"]))
+    if kind == "raw":
+        return draw(raw_series())
+    val = draw(st.integers(-5, 5))
+    if kind == "monomial":
+        cs = [draw(NONZERO)]
+    else:
+        den = draw(st.sampled_from([1, 6, 7, 1 << 65]))
+        cs = [F(x, den) for x in draw(st.lists(kernel_int(), min_size=1, max_size=8))]
+    trunc = draw(st.one_of(st.none(), st.integers(val - 1, val + len(cs) + 3)))
+    return val, cs, trunc
+
+
+def dot_weight():
+    """0, small signed rationals, and wide ints and fractions that widen the packed slots."""
+    return st.one_of(st.just(0), st.integers(-9, 9), RATS, kernel_int(),
+                     st.builds(F, kernel_int(), st.integers(1, 1 << 200)))
 
 
 class TestPackedKernels:
@@ -648,4 +717,22 @@ class TestPackedKernels:
             pairs.append((a, b))
             ref = ref_add(ref, naive_product(a, b))
         check(dot(pairs), ref)
+
+    @SETTINGS
+    @given(st.lists(st.tuples(dot_factor(), dot_factor(), dot_weight()), max_size=6))
+    # opposite weights on opposite products: the slot bound must add |w|, not w,
+    # or the two terms cancel in the bound while their sum is 2 w x y
+    @example([((0, [F(3)] * 6, None), (0, [F(5)] * 6, None), F(1 << 90)),
+              ((0, [F(3)] * 6, None), (0, [F(-5)] * 6, None), -F(1 << 90))])
+    def test_weighted_dot_matches_scaled_sum(self, cases):
+        # sum w * (x * y) built left to right by __mul__ and __add__
+        pairs, weights, ref = [], [], LaurentSeries.zero()
+        for ra, rb, w in cases:
+            a, b = LaurentSeries(*ra), LaurentSeries(*rb)
+            pairs.append((a, b))
+            weights.append(w)
+            ref = ref + w * (a * b)
+        got = dot(pairs, weights)
+        assert key(got) == key(ref)
+        assert all(type(x) is int for x in got.nums)
 
