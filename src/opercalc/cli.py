@@ -71,26 +71,6 @@ def _load_as(path: str, *formats: str):
     return ser.load_object(obj), tag
 
 
-def _certified(obj) -> Optional[int]:
-    """Least certified order among all series in a parsed file object."""
-    best = None
-    if isinstance(obj, dict):
-        if "coeffs" in obj and "val" in obj:
-            t = obj.get("trunc")
-            if t is not None:
-                best = t
-        for v in obj.values():
-            c = _certified(v)
-            if c is not None:
-                best = c if best is None else min(best, c)
-    elif isinstance(obj, list):
-        for v in obj:
-            c = _certified(v)
-            if c is not None:
-                best = c if best is None else min(best, c)
-    return best
-
-
 def _write(path: str, obj: dict):
     text = ser.dumps(obj)
     try:
@@ -98,7 +78,7 @@ def _write(path: str, obj: dict):
             fh.write(text)
     except OSError as e:
         raise MalformedInputError(f"cannot write {path}: {e.strerror or e}")
-    c = _certified(obj)
+    c = ser.certified_order(obj)
     print(f"wrote {path} (certified order: {'exact' if c is None else c})")
 
 

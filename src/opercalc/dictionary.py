@@ -34,7 +34,7 @@ from .matrices import (
     smat_mul,
 )
 from .record import Record
-from .series import Density, LaurentSeries, Rat, _fr, half_integer, is_exact_zero
+from .series import Density, LaurentSeries, Rat, _fr, dot, half_integer, is_exact_zero
 
 ZERO = LaurentSeries.zero()
 ONE = LaurentSeries.one()
@@ -140,10 +140,9 @@ def _apply_nabla(q: SeriesMatrix, h: Fraction,
                  vec: Sequence[LaurentSeries]) -> List[LaurentSeries]:
     out = []
     for i, row in enumerate(q):
-        acc = h * vec[i].derivative() if h else ZERO
-        for j, c in enumerate(row):
-            if not is_exact_zero(c):
-                acc = acc + c * vec[j]
+        acc = dot(zip(row, vec))
+        if h and not is_exact_zero(vec[i]):
+            acc = h * vec[i].derivative() + acc
         out.append(acc)
     return out
 
@@ -163,9 +162,7 @@ def _flag_readoff(q: SeriesMatrix, h: Fraction, trunc: Optional[int]) -> List[La
         vs.append(_apply_nabla(q, h, vs[-1]))
     coeffs: List[LaurentSeries] = [ZERO] * n
     for i in range(n - 1, -1, -1):
-        num = vs[n][i]
-        for m in range(i + 1, n):
-            num = num - coeffs[m] * vs[m][i]
+        num = vs[n][i] - dot((coeffs[m], vs[m][i]) for m in range(i + 1, n))
         coeffs[i] = num.div(vs[i][i], trunc)
     return coeffs
 
@@ -517,11 +514,7 @@ def so_even_conditions(conn: OperConnection):
 def _j_pair(signs: Sequence[Fraction], a: Sequence[LaurentSeries],
             b: Sequence[LaurentSeries]) -> LaurentSeries:
     """a^T J b for the antidiagonal form J with these signs."""
-    out = ZERO
-    n = len(a)
-    for i in range(n):
-        out = out + signs[i] * (a[i] * b[n - 1 - i])
-    return out
+    return dot(zip(a, reversed(b)), signs)
 
 
 def _series_solve(cols: Sequence[Sequence[LaurentSeries]],
@@ -594,10 +587,9 @@ def so_even_extract(conn: OperConnection,
     s[k - 2] = -cross.div(theta, trunc)
     # each remaining row determines the next correction through its subdiagonal
     for i in range(k - 2, 0, -1):
-        acc = h * s[i].derivative() if h else ZERO
-        for j in range(n):
-            if j != i - 1 and not q[i][j].is_zero():
-                acc = acc + q[i][j] * s[j]
+        acc = dot((q[i][j], s[j]) for j in range(n) if j != i - 1)
+        if h:
+            acc = h * s[i].derivative() + acc
         s[i - 1] = -acc.div(q[i][i - 1], trunc)
     delta = _apply_nabla(q, h, s)
     for i in range(1, n):

@@ -111,10 +111,9 @@ class DiffOp(Record):
             self.src, self.tgt, self.planck,
         )
 
-    def to_symbol(self, floor: Optional[int] = None) -> "PseudoSymbol":
-        fl = 0 if floor is None else floor
+    def to_symbol(self) -> "PseudoSymbol":
         return PseudoSymbol(
-            self.order, min(fl, 0), self.src, self.tgt, self.planck,
+            self.order, 0, self.src, self.tgt, self.planck,
             {i: c for i, c in enumerate(self.coeffs)}, exact_below=True,
         )
 
@@ -122,13 +121,11 @@ class DiffOp(Record):
         """Evaluate on a density of the source weight."""
         if phi.weight != self.src:
             raise PreconditionError("operator applied to a density of the wrong weight")
-        out = ZERO
-        for i, c in enumerate(self.coeffs):
-            d = phi.series
-            for _ in range(i):
-                d = d.derivative()
-            out = out + self.planck**i * c * d
-        return Density(out, self.tgt)
+        ds = [phi.series]  # phi, phi', ..., phi^(order)
+        for _ in range(self.order):
+            ds.append(ds[-1].derivative())
+        h = self.planck
+        return Density(dot(zip(self.coeffs, ds), [h**i for i in range(self.order + 1)]), self.tgt)
 
 
 class PseudoSymbol:

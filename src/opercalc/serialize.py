@@ -102,6 +102,19 @@ def series_obj(s: LaurentSeries) -> dict:
     }
 
 
+def certified_order(obj) -> Optional[int]:
+    """Least certified order among the series objects in a file object; None when all are exact."""
+    if isinstance(obj, dict):
+        ts = [certified_order(v) for v in obj.values()]
+        if "coeffs" in obj and "val" in obj:
+            ts.append(obj.get("trunc"))
+    elif isinstance(obj, list):
+        ts = [certified_order(v) for v in obj]
+    else:
+        return None
+    return min((t for t in ts if t is not None), default=None)
+
+
 def series_load(obj) -> LaurentSeries:
     from .series import LaurentSeries
 
@@ -239,19 +252,15 @@ def flagged_load(obj) -> FlaggedSystem:
 
 
 def canonical_obj(cf: CanonicalForm) -> dict:
-    certified = None
-    for d in cf.v:
-        t = d.series.trunc
-        if t is not None:
-            certified = t if certified is None else min(certified, t)
+    v = [density_obj(d) for d in cf.v]
     return {
         "format": "canonical",
         "algebra": algebra_obj(cf.model),
         "planck": rat_str(cf.planck),
         "exponents": list(cf.model.exponents),
-        "v": [density_obj(d) for d in cf.v],
+        "v": v,
         "vbasis": cf.model.vbasis_fingerprint(),
-        "certified": certified,
+        "certified": certified_order(v),
     }
 
 

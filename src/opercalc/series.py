@@ -29,7 +29,8 @@ rational weights on its terms ride in the same denominator scales.
 Rational powers run J.C.P. Miller's recurrence fraction-free
 (:func:`unit_power`): the k-th coefficient of (1 + eps)^e, e = p/q, is kept
 as an integer (over the ring of eps) G_k over the scale S_k = (q^2 a_0)^k,
-because binom(p/q, m) q^(2m) is always an integer.
+because binom(p/q, m) q^(2m) is always an integer.  The inverse of a
+non-monomial series is the same recurrence at e = -1.
 """
 
 from __future__ import annotations
@@ -118,10 +119,11 @@ def unit_power(eps: Sequence, e: Fraction, one, a0: int = 1) -> Tuple[list, List
     never divides its denominator and for r | q that denominator has
     valuation at most m v_r(q) + v_r(m!) < 2 m v_r(q).  So the division by k
     is exact.  The ring is given by its `one`:
-      - ints, for series powers (eps the numerators, a0 the leading
-        numerator, of either sign): each order is two C-level integer dots,
-        against U_j and against j U_j, and one exact // k; the dots stop at
-        the last nonzero eps_j;
+      - ints, for series powers and inverses (eps the numerators, a0 the
+        leading numerator, of either sign): each order is two C-level integer
+        dots, against U_j and against j U_j, and one exact // k; the dots stop
+        at the last nonzero eps_j.  At p + q = 0 (e = -1, the inverse) the
+        j U_j dot has weight 0 and is not built, so G_k = -sum U_j G_{k-j};
       - series, for kernel powers (a0 = 1): each order is one weighted
         :func:`dot` of the eps_j G_{k-j}, weights ((p+q) j - q k) q^(2j-1) a0^(j-1) / k.
     Returns the lists G_0..G_n and S_0..S_n.
@@ -135,16 +137,18 @@ def unit_power(eps: Sequence, e: Fraction, one, a0: int = 1) -> Tuple[list, List
         while last and not eps[last - 1]:
             last -= 1  # U_j = 0 past the last nonzero eps_j, so the dots stop there
         U = list(map(mul, eps[:last], f))
-        JU = [j * u for j, u in enumerate(U, 1)]
+        JU = [j * u for j, u in enumerate(U, 1)] if p + q else []
         for k in range(1, n + 1):
             # k G_k = (p+q) sum j U_j G_{k-j} - q k sum U_j G_{k-j}
-            b = sum(map(mul, JU[:k], reversed(G)))
-            G.append((p + q) * b // k - q * sum(map(mul, U[:k], reversed(G))))
+            g = -q * sum(map(mul, U[:k], reversed(G)))
+            if JU:
+                g += (p + q) * sum(map(mul, JU[:k], reversed(G))) // k
+            G.append(g)
     else:
         for k in range(1, n + 1):
             G.append(dot(zip(eps[:k], reversed(G)),
                          [Fraction(((p + q) * j - q * k) * f[j - 1], k) for j in range(1, k + 1)]))
-    return G, [s**k for k in range(n + 1)]
+    return G, list(accumulate(repeat(s, n), mul, initial=1))
 
 
 _SCHOOL = 4  # a shorter operand is convolved term by term, not packed
@@ -202,29 +206,6 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
             j = i + len(b)
             out[i:j] = map(add, out[i:j], map(mul, b[: n - i], repeat(x)))
     return out
-
-
-def _inverse_nums(a: Sequence[int], n: int):
-    """(nums, den) of the first n coefficients of 1 / (sum a_j x^j), a_0 != 0.
-
-    The fraction-free recurrence (Knuth, TAOCP vol. 2, section 4.7): the
-    inverse is sum_k B_k x^k / a_0^(k+1) with B_0 = 1 and
-
-        B_k = -sum_{j=1..k} a_j a_0^(j-1) B_{k-j},
-
-    so only integers are multiplied; the result is brought over a_0^n.
-    """
-    a0 = a[0]
-    pw = [1]
-    for _ in range(n - 1):
-        pw.append(pw[-1] * a0)
-    c = list(map(mul, a[1:n], pw))  # c_j = a_j a_0^(j-1), j = 1..n-1
-    bs = [1]
-    for k in range(1, n):
-        bs.append(-sum(map(mul, c[:k], reversed(bs))))
-    den = pw[-1] * a0
-    nums = list(map(mul, bs, reversed(pw)))
-    return (nums, den) if den > 0 else ([-x for x in nums], -den)
 
 
 class LaurentSeries:
@@ -446,12 +427,7 @@ class LaurentSeries:
             rel = trunc + self.val  # relative orders needed so result reaches `trunc`
         elif trunc is not None:
             rel = min(rel, trunc + self.val)
-        n = max(rel, 0)
-        if n == 0:
-            return LaurentSeries.zero(-self.val)
-        nums, den = _inverse_nums(self.nums[:n], n)
-        # (nums_self / den_self)^-1 = den_self * (nums_self)^-1
-        return _series(-self.val, [x * self.den for x in nums], den, -self.val + n)
+        return self._miller(Fraction(-1), Fraction(self.den, self.nums[0]), -self.val, rel)
 
     def __truediv__(self, other) -> "LaurentSeries":
         if isinstance(other, (int, Fraction)):
@@ -516,17 +492,23 @@ class LaurentSeries:
             rel = trunc - int(ve)
         elif trunc is not None:
             rel = min(rel, trunc - int(ve))
+        return self._miller(e, r0, int(ve), rel)
+
+    def _miller(self, e: Fraction, r0: Fraction, ve: int, rel: int) -> "LaurentSeries":
+        """r0 z^ve (1 + eps)^e to rel orders from ve, where self = c0 z^val (1 + eps).
+
+        eps_j = nums_j / nums_0, so by :func:`unit_power` the result is
+        r0 z^ve sum_k G_k / S_k, brought over r0's denominator times S_(rel-1).
+        """
         if rel <= 0:
-            return LaurentSeries.zero(int(ve))
-        # self = c0 z^v (1 + eps), eps_j = nums_j / nums_0; result = r0 z^{ve} (1 + eps)^e
-        # = r0 z^{ve} sum_k G_k / S_k, brought over r0's denominator times S_{rel-1}
+            return LaurentSeries.zero(ve)
         eps = list(self.nums[1:rel])
         eps += [0] * (rel - 1 - len(eps))  # the certified zeros past the stored nums
         G, S = unit_power(eps, e, 1, self.nums[0])
         s = S[-1]
         rn = r0.numerator if s > 0 else -r0.numerator
         nums = [rn * g * sk for g, sk in zip(G, reversed(S))]  # S_n / S_k = S_(n-k)
-        return _series(int(ve), nums, r0.denominator * abs(s), int(ve) + rel)
+        return _series(ve, nums, r0.denominator * abs(s), ve + rel)
 
     def sqrt(self, trunc: Optional[int] = None) -> "LaurentSeries":
         return self.power_rational(Fraction(1, 2), trunc)

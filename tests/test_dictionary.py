@@ -48,7 +48,7 @@ from opercalc.dictionary import (
 from opercalc.gauge import CanonicalForm, GaugeElement, OperConnection, gauge_apply
 from opercalc.lie import model
 from opercalc.matrices import smat_add, smat_from_frac, smat_scale, smat_zero
-from opercalc.series import Density, LaurentSeries
+from opercalc.series import Density, LaurentSeries, is_exact_zero
 
 Z = LaurentSeries.monomial(1, 1)
 ONE = LaurentSeries.one()
@@ -524,6 +524,13 @@ class TestEvenOrthogonal:
         op2, f2 = so_even_extract(conn, trunc=24)
         assert op2.agrees(op)
         assert f2.series.agrees(f.series)
+        # every exact zero off the subdiagonal made O(z^6): the below-middle
+        # corrections must carry that order, not skip the entry as exact
+        q = [[ZERO.truncate(6) if is_exact_zero(x) and i != j + 1 else x
+              for j, x in enumerate(row)] for i, row in enumerate(conn.q)]
+        op3, f3 = so_even_extract(OperConnection(conn.model, conn.planck, q), trunc=24)
+        assert op3.agrees(op2) and f3.series.agrees(f2.series)
+        assert all(c.trunc is not None and c.trunc < 24 for c in op3.coeffs[:-1])
 
     def test_round_trip_planck_half(self):
         rng = random.Random(41)

@@ -514,21 +514,25 @@ class TestIntegerRepresentation:
         {0: F(-3, 2), 1: 2, 2: F(-1, 3), 5: F(7, 4)},
         {0: 5, 1: F(1, 6), 3: -2, 4: F(9, 11)},
         {-2: F(2, 3), -1: 1, 1: F(-5, 7)},
+        # 44 dense terms under a negative leading coefficient: the scales a_0^k alternate in sign
+        {-3: F(-3, 2), **{k: F((7 * k) % 11 - 5, k % 4 + 1) for k in range(-2, 41)}},
     ])
     def test_inverse_matches_sympy(self, terms):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         v = min(terms)
+        n = max(32, len(terms))
         unit = sum(sympy.Rational(c.numerator, c.denominator) * x ** (k - v) for k, c in terms.items())
-        ref = sympy.expand(sympy.series(1 / unit, x, 0, 32).removeO())
+        # the inverse of the unit in Q[x]/(x^n), by sympy's extended Euclidean algorithm
+        ref = sympy.expand(sympy.invert(unit, x**n, x))
         expected = []
-        for k in range(32):
+        for k in range(n):
             c = ref.coeff(x, k)
             assert c.is_Rational
             expected.append(F(int(c.p), int(c.q)))
-        want = LaurentSeries(-v, expected, 32 - v)
-        assert S(terms).inverse(trunc=32 - v) == want
-        assert S(terms, trunc=v + 32).inverse() == want
+        want = LaurentSeries(-v, expected, n - v)
+        assert S(terms).inverse(trunc=n - v) == want
+        assert S(terms, trunc=v + n).inverse() == want
 
 
 # -- the fraction-free power recurrence, against a plain Fraction Miller loop ----
@@ -621,7 +625,7 @@ class TestFractionFreePower:
         assert [F(g, s) for g, s in zip(G, S)] == miller([F(0)] + [F(x, a0) for x in eps], e, 7)
 
     @SETTINGS
-    @given(st.sampled_from([F(-7, 6), F(5, 4), F(4, 9), F(-1, 3), F(5, 2)]),
+    @given(st.sampled_from([F(-7, 6), F(5, 4), F(4, 9), F(-1, 3), F(5, 2), F(-1), F(-3), F(2)]),
            st.lists(st.one_of(st.just(0), st.integers(-30, 30)), max_size=24),
            st.integers(1, 12), st.booleans())
     def test_scaled_coefficients_are_integers(self, e, eps, a, negative):
