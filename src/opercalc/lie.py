@@ -12,6 +12,7 @@ ad(y) plus a pinned complement are all computed exactly and cached.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import MalformedInputError, PreconditionError
@@ -22,7 +23,7 @@ from .matrices import (
     fmat_combine,
     fmat_comm,
     fmat_inverse,
-    nullspace,
+    fmat_mul,
     rref,
     smat_combine,
     smat_mul,
@@ -155,7 +156,8 @@ class LieModel:
 
     def _matrix(self, entries: Dict[Tuple[int, int], Fraction]) -> FracMatrix:
         """The N x N rational matrix with these entries and zeros elsewhere."""
-        return tuple(tuple(entries.get((i, j), Fraction(0)) for j in range(self.N))
+        zero = Fraction(0)
+        return tuple(tuple(entries.get((i, j), zero) for j in range(self.N))
                      for i in range(self.N))
 
     def _simple_classes(self) -> List[Tuple[int, int]]:
@@ -267,28 +269,31 @@ class LieModel:
     # -- splitting off the image of ad(y) ----------------------------------------
 
     def _kerx_basis(self, d: int) -> List[FracMatrix]:
-        """Basis of (Ker ad x) at degree d, with x pinned first at d = 1."""
-        basis_d = self.graded_basis(d)
-        basis_up = self.graded_basis(d + 1)
-        if basis_up:
-            # [x, .] constraints in degree-(d+1) coordinates, one column per vector
-            rows = [self.coords(d + 1, fmat_comm(self.x, b)) for b in basis_d]
-            cons = [[rows[j][i] for j in range(len(basis_d))]
-                    for i in range(len(basis_up))]
-            vecs = nullspace(cons)
-        else:
-            vecs = [[Fraction(1 if k == t else 0) for k in range(len(basis_d))]
-                    for t in range(len(basis_d))]
+        """Basis of (Ker ad x) at degree d, with x pinned first at d = 1.
+
+        By Kostant's theorem the slice is spanned by the powers x^d in the
+        model (odd d for B, C and D) and, for D at d = rank - 1, the Pfaffian
+        vector E_{0,d+1} - E_{0,d} with its mates.  Its basis is the reduced
+        echelon form over the coordinates read last to first, which is the
+        kernel basis that elimination of [x, .] gives.
+        """
+        span = []
+        if d in self.exponents and (self.family == "A" or d % 2):
+            span.append(self.coords(d, reduce(fmat_mul, [self.x] * d)))
+        if self.family == "D" and d == self.rank - 1:
+            pfaffian = fmat_combine([-1, 1], [self._pair_vector(0, d),
+                                              self._pair_vector(0, d + 1)])
+            span.append(self.coords(d, pfaffian))
+        red, _ = rref([c[::-1] for c in span])
+        vecs = [v[::-1] for v in reversed(red)]
         if d == 1:
-            # pin x into the first slot, keeping the rest of the eliminated basis
-            xc = self.coords(1, self.x)
-            picked = [xc]
+            # pin x into the first slot, keeping the rest of the echelon basis
+            picked = [self.coords(1, self.x)]
             for v in vecs:
-                _, pivots = rref(picked + [v])
-                if len(pivots) > len(picked):
+                if len(rref(picked + [v])[1]) > len(picked):
                     picked.append(v)
             vecs = picked
-        return [fmat_combine(v, basis_d) for v in vecs]
+        return [fmat_combine(v, self.graded_basis(d)) for v in vecs]
 
     def kostant_data(self, d: int) -> dict:
         """Inverse of (Z, v) -> [y, Z] + v at degree d, with V = Ker ad x."""

@@ -2,7 +2,7 @@
 
 Two kinds of matrices appear: structure matrices over Q (nested tuples of
 Fraction) and matrices of series (nested lists of LaurentSeries).  Structure
-matrices support elimination, solving and nullspaces; series matrices only
+matrices support elimination and solving; series matrices only
 need the ring operations and evaluation against rational structure data.
 
 Series matrices skip exact-zero entries everywhere.  A product entry with
@@ -24,10 +24,6 @@ SeriesMatrix = List[List[LaurentSeries]]
 
 
 # -- rational matrices -------------------------------------------------------
-
-
-def fmat_sub(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 _ZERO = Fraction(0)
@@ -55,7 +51,16 @@ def fmat_combine(coeffs: Sequence[Fraction], mats: Sequence[FracMatrix]) -> Frac
 
 
 def fmat_comm(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    return fmat_sub(fmat_mul(a, b), fmat_mul(b, a))
+    """ab - ba over the nonzero entries of both, as E_ik E_kj = E_ij; zero
+    entries share one Fraction."""
+    nz_a, nz_b = ([[(k, x) for k, x in enumerate(row) if x] for row in m] for m in (a, b))
+    out = [[_ZERO] * len(a) for _ in a]
+    for p, q, s in ((nz_a, nz_b, 1), (nz_b, nz_a, -1)):
+        for acc, row_p in zip(out, p):
+            for k, x in row_p:
+                for j, y in q[k]:
+                    acc[j] += s * x * y
+    return tuple(map(tuple, out))
 
 
 def fmat_transpose(a: FracMatrix) -> FracMatrix:
@@ -109,23 +114,6 @@ def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> List[
     for r, c in enumerate(pivots):
         x[c] = red[r][ncols]
     return x
-
-
-def nullspace(a: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    if not a:
-        return []
-    red, pivots = rref(a)
-    ncols = len(a[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
 
 
 # -- series matrices ----------------------------------------------------------

@@ -327,6 +327,25 @@ class TestNormalize:
         _, cf = normalize(OperConnection(m, F(1), q))
         assert cf.v[1].series == LaurentSeries.zero(3)
 
+    def test_mates_with_different_orders(self):
+        # B:2 reads the degree-1 pair (1, 2), (2, 3) at (1, 2). Cutting only
+        # the mate (2, 3) to 5 orders still lowers the order of v_3, through
+        # the matrix products of the gauge steps; cutting only (1, 2) gives
+        # what cutting both does.
+        m = model("B", 2)
+        conn = rnd_oper(random.Random(1), m, F(1))
+
+        def orders(cut):
+            q = [row[:] for row in conn.q]
+            for i, j in cut:
+                q[i][j] = q[i][j].truncate(5)
+            _, cf = normalize(OperConnection(m, F(1), q))
+            return [dens.series.trunc for dens in cf.v]
+
+        assert orders([]) == [8, 6]
+        assert orders([(2, 3)]) == [8, 5]
+        assert orders([(1, 2)]) == orders([(1, 2), (2, 3)]) == [5, 3]
+
     def test_rejects_low_grade(self):
         sl3 = model("A", 2)
         q = smat_from_frac(sl3.y)

@@ -101,6 +101,33 @@ class TestStructure:
                     assert sum(m.root_coords(i, j)) == (m.hdiag[i] - m.hdiag[j]) // 2
 
 
+RANK_CAP_MODELS = [(f, r) for f in "ABCD" for r in range(1, 13) if (f, r) != ("D", 1)]
+
+
+def kerx_oracle(m, d):
+    """The slice at degree d by elimination: the kernel of [x, .] from degree
+    d to d + 1, one vector per free column (all units at the top degree), with
+    x pinned first at d = 1."""
+    basis_d, basis_up = m.graded_basis(d), m.graded_basis(d + 1)
+    n = len(basis_d)
+    vecs = [[F(int(k == t)) for k in range(n)] for t in range(n)]
+    if basis_up:
+        rows = [m.coords(d + 1, fmat_comm(m.x, b)) for b in basis_d]
+        red, pivots = rref([[row[i] for row in rows] for i in range(len(basis_up))])
+        free = [f for f in range(n) if f not in pivots]
+        vecs = [vecs[f] for f in free]
+        for f, v in zip(free, vecs):
+            for r, c in enumerate(pivots):
+                v[c] = -red[r][f]
+    if d == 1:
+        picked = [m.coords(1, m.x)]
+        for v in vecs:
+            if len(rref(picked + [v])[1]) > len(picked):
+                picked.append(v)
+        vecs = picked
+    return [fmat_combine(v, basis_d) for v in vecs]
+
+
 class TestKostantSplit:
     @pytest.mark.parametrize("family,rank", ALL_MODELS)
     def test_reconstruction(self, family, rank):
@@ -126,6 +153,12 @@ class TestKostantSplit:
             m = model(family, rank)
             if m.kostant_data(1)["vdim"] == 1:
                 assert m.kostant_data(1)["vbasis"][0] == m.x
+
+    @pytest.mark.parametrize("family,rank", RANK_CAP_MODELS)
+    def test_slice_matches_elimination(self, family, rank):
+        m = model(family, rank)
+        for d in range(1, m.dmax + 1):
+            assert m.kostant_data(d)["vbasis"] == kerx_oracle(m, d), d
 
     def test_fingerprint_stable_and_separating(self):
         prints = {}
@@ -237,9 +270,9 @@ def structure_digest(m):
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
-# every structure datum of the models up to rank 6: graded coordinates, gauge
-# steps and normal forms are all read in these bases, so any change to the
-# model construction must leave them
+# every structure datum of the models up to the rank cap of serialize: graded
+# coordinates, gauge steps and normal forms are all read in these bases, so any
+# change to the model construction must leave them
 STRUCTURE_DIGESTS = {
     ("A", 1): "b21d4d161a4a3a75", ("A", 2): "aa3910a8faa8528d",
     ("A", 3): "ddec3b7d4cdd343d", ("A", 4): "fc1d92aca127643e",
@@ -253,6 +286,18 @@ STRUCTURE_DIGESTS = {
     ("D", 2): "5815305248338ae5", ("D", 3): "e23889c2004a6c9b",
     ("D", 4): "36383d40b28f3294", ("D", 5): "c4246ef6f43bdb46",
     ("D", 6): "acce4fff423171b6",
+    ("A", 7): "cdde3973f2130742", ("A", 8): "9527967ae0466306",
+    ("A", 9): "1edd0b6a59050dce", ("A", 10): "a2829c5b70641884",
+    ("A", 11): "9e69da7439fbf47c", ("A", 12): "6d80252714ea3bc9",
+    ("B", 7): "1c1ba446addc6a0d", ("B", 8): "fafd2a5edb98d2f0",
+    ("B", 9): "14321eafc54e0eb3", ("B", 10): "ecb7bcedb7cfd48d",
+    ("B", 11): "34bc3bd48413fb06", ("B", 12): "d659d03d0f22df48",
+    ("C", 7): "8223fc4a071b2938", ("C", 8): "ce219516fc69a851",
+    ("C", 9): "a405be0ab902bd19", ("C", 10): "069a4781e7153d96",
+    ("C", 11): "1eb97c9ce3b36854", ("C", 12): "365f9f097ee57a68",
+    ("D", 7): "51f7ab0d15a66bb2", ("D", 8): "58a9fa975a9b0e8e",
+    ("D", 9): "e37d98b9446838af", ("D", 10): "a45f55deac037a14",
+    ("D", 11): "cbcfa5c78453196a", ("D", 12): "cbea36cca4e442b5",
 }
 
 
@@ -263,7 +308,7 @@ class TestPinnedModelData:
 
     @pytest.mark.parametrize("family,rank", sorted(STRUCTURE_DIGESTS))
     def test_structure_digest(self, family, rank):
-        assert structure_digest(LieModel(family, rank)) == STRUCTURE_DIGESTS[(family, rank)]
+        assert structure_digest(model(family, rank)) == STRUCTURE_DIGESTS[(family, rank)]
 
     @pytest.mark.parametrize("family,rank", ALL_MODELS + [("B", 1), ("C", 1)])
     def test_bases_lie_in_the_model_and_span_it(self, family, rank):
@@ -311,16 +356,26 @@ class TestFracProducts:
 
     def test_fmat_combine_and_comm_match_dense(self):
         rng = random.Random(5)
-        for density in (0.1, 0.5, 1.0):
+        pairs = []
+        for density in (0.1, 0.5, 1.0, 0.0):
             mats = [rnd_frac_matrix(rng, 3, 4, density) for _ in range(4)]
             coeffs = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in mats]
             want = tuple(tuple(sum((c * mat[i][j] for c, mat in zip(coeffs, mats)), F(0))
                                for j in range(4)) for i in range(3))
             assert fmat_combine(coeffs, mats) == want
-            a, b = (rnd_frac_matrix(rng, 5, 5, density) for _ in range(2))
+            pairs.append(tuple(rnd_frac_matrix(rng, 5, 5, density) for _ in range(2)))
+        dense, zero = pairs[2][0], pairs[3][0]
+        unit = tuple(tuple(F(-7, 3) if (i, j) == (1, 3) else F(0) for j in range(5))
+                     for i in range(5))
+        pairs += [(zero, dense), (unit, dense), (dense, unit), (unit, unit),
+                  (unit, fmat_transpose(unit)), (((F(2, 5),),), ((F(-3),),)),
+                  (((F(0),),), ((F(4),),))]
+        for a, b in pairs:
             ab, ba = naive_mul(a, b), naive_mul(b, a)
-            assert fmat_comm(a, b) == tuple(tuple(x - y for x, y in zip(r, t))
-                                            for r, t in zip(ab, ba))
+            got = fmat_comm(a, b)
+            assert got == tuple(tuple(x - y for x, y in zip(r, t)) for r, t in zip(ab, ba))
+            assert type(got) is tuple and all(type(row) is tuple for row in got)
+            assert all(type(x) is F for row in got for x in row)
 
 
 def dense_in_model(m, q):
