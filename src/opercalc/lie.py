@@ -12,7 +12,6 @@ ad(y) plus a pinned complement are all computed exactly and cached.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import MalformedInputError, PreconditionError
@@ -135,6 +134,7 @@ class LieModel:
         # degree -> (basis, reads); reads is None for A at degree 0
         self._graded: Dict[int, Tuple[List[FracMatrix], Optional[list]]] = {}
         self._kostant: Dict[int, dict] = {}
+        self._xpowers: List[FracMatrix] = [self.x]  # x^1, x^2, ... as far as built
 
     # -- construction of the principal triple ---------------------------------
 
@@ -268,6 +268,12 @@ class LieModel:
 
     # -- splitting off the image of ad(y) ----------------------------------------
 
+    def _x_power(self, d: int) -> FracMatrix:
+        """x^d, each power one product on the one below it."""
+        while len(self._xpowers) < d:
+            self._xpowers.append(fmat_mul(self._xpowers[-1], self.x))
+        return self._xpowers[d - 1]
+
     def _kerx_basis(self, d: int) -> List[FracMatrix]:
         """Basis of (Ker ad x) at degree d, with x pinned first at d = 1.
 
@@ -279,7 +285,7 @@ class LieModel:
         """
         span = []
         if d in self.exponents and (self.family == "A" or d % 2):
-            span.append(self.coords(d, reduce(fmat_mul, [self.x] * d)))
+            span.append(self.coords(d, self._x_power(d)))
         if self.family == "D" and d == self.rank - 1:
             pfaffian = fmat_combine([-1, 1], [self._pair_vector(0, d),
                                               self._pair_vector(0, d + 1)])

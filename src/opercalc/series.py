@@ -22,9 +22,10 @@ from the operand sizes so that every signed output coefficient fits, and one
 big-int product is read back slot by slot.  A monomial factor only scales,
 and operands of fewer than four terms are convolved term by term.  A sum of
 products, :func:`dot`, brings its terms over one common denominator and
-packs them all into one integer, so an entry of a series-matrix product is
-built by one ``_series`` call, not by one per product and per partial sum;
-rational weights on its terms ride in the same denominator scales.
+packs those without a monomial factor into one integer, so an entry of a
+series-matrix product is built by one ``_series`` call, not by one per
+product and per partial sum; rational weights on its terms ride in the same
+denominator scales.
 
 Rational powers run J.C.P. Miller's recurrence fraction-free
 (:func:`unit_power`): the k-th coefficient of (1 + eps)^e, e = p/q, is kept
@@ -120,31 +121,34 @@ def unit_power(eps: Sequence, e: Fraction, one, a0: int = 1) -> Tuple[list, List
     valuation at most m v_r(q) + v_r(m!) < 2 m v_r(q).  So the division by k
     is exact.  The ring is given by its `one`:
       - ints, for series powers and inverses (eps the numerators, a0 the
-        leading numerator, of either sign): each order is two C-level integer
-        dots, against U_j and against j U_j, and one exact // k; the dots stop
-        at the last nonzero eps_j.  At p + q = 0 (e = -1, the inverse) the
-        j U_j dot has weight 0 and is not built, so G_k = -sum U_j G_{k-j};
+        leading numerator, of either sign; `one` may be any integer, which
+        then scales every G_k, as the recurrence is linear): each order is
+        two C-level integer dots, against U_j and against j U_j, and one
+        exact // k; the dots stop at the last nonzero eps_j.  At p + q = 0
+        (e = -1, the inverse) the j U_j dot has weight 0 and is not built,
+        so G_k = -sum U_j G_{k-j};
       - series, for kernel powers (a0 = 1): each order is one weighted
         :func:`dot` of the eps_j G_{k-j}, weights ((p+q) j - q k) q^(2j-1) a0^(j-1) / k.
     Returns the lists G_0..G_n and S_0..S_n.
     """
     p, q = e.numerator, e.denominator
     s, n = q * q * a0, len(eps)
-    f = list(accumulate(repeat(s, n - 1), mul, initial=q))  # f[j-1] = q^(2j-1) a0^(j-1)
     G = [one]
     if isinstance(one, int):
         last = n
         while last and not eps[last - 1]:
             last -= 1  # U_j = 0 past the last nonzero eps_j, so the dots stop there
-        U = list(map(mul, eps[:last], f))
+        U = list(map(mul, eps[:last], accumulate(repeat(s, last - 1), mul, initial=q)))
         JU = [j * u for j, u in enumerate(U, 1)] if p + q else []
         for k in range(1, n + 1):
-            # k G_k = (p+q) sum j U_j G_{k-j} - q k sum U_j G_{k-j}
-            g = -q * sum(map(mul, U[:k], reversed(G)))
+            # k G_k = (p+q) sum j U_j G_{k-j} - q k sum U_j G_{k-j}; map stops at
+            # the shorter of U and G, so j runs to min(k, last)
+            g = -q * sum(map(mul, U, reversed(G)))
             if JU:
-                g += (p + q) * sum(map(mul, JU[:k], reversed(G))) // k
+                g += (p + q) * sum(map(mul, JU, reversed(G))) // k
             G.append(g)
     else:
+        f = list(accumulate(repeat(s, n - 1), mul, initial=q))  # f[j-1] = q^(2j-1) a0^(j-1)
         for k in range(1, n + 1):
             G.append(dot(zip(eps[:k], reversed(G)),
                          [Fraction(((p + q) * j - q * k) * f[j - 1], k) for j in range(1, k + 1)]))
@@ -427,7 +431,8 @@ class LaurentSeries:
             rel = trunc + self.val  # relative orders needed so result reaches `trunc`
         elif trunc is not None:
             rel = min(rel, trunc + self.val)
-        return self._miller(Fraction(-1), Fraction(self.den, self.nums[0]), -self.val, rel)
+        a0 = self.nums[0]
+        return self._miller(_MINUS_ONE, self.den if a0 > 0 else -self.den, abs(a0), -self.val, rel)
 
     def __truediv__(self, other) -> "LaurentSeries":
         if isinstance(other, (int, Fraction)):
@@ -492,23 +497,24 @@ class LaurentSeries:
             rel = trunc - int(ve)
         elif trunc is not None:
             rel = min(rel, trunc - int(ve))
-        return self._miller(e, r0, int(ve), rel)
+        return self._miller(e, r0.numerator, r0.denominator, int(ve), rel)
 
-    def _miller(self, e: Fraction, r0: Fraction, ve: int, rel: int) -> "LaurentSeries":
-        """r0 z^ve (1 + eps)^e to rel orders from ve, where self = c0 z^val (1 + eps).
+    def _miller(self, e: Fraction, rn: int, rd: int, ve: int, rel: int) -> "LaurentSeries":
+        """(rn/rd) z^ve (1 + eps)^e to rel orders from ve, where self = c0 z^val (1 + eps).
 
         eps_j = nums_j / nums_0, so by :func:`unit_power` the result is
-        r0 z^ve sum_k G_k / S_k, brought over r0's denominator times S_(rel-1).
+        (rn/rd) z^ve sum_k G_k / S_k, brought over rd |S_(rel-1)|: the
+        recurrence starts at G_0 = +-rn, with the sign of
+        S_(rel-1) = (q^2 nums_0)^(rel-1).
         """
         if rel <= 0:
             return LaurentSeries.zero(ve)
+        a0 = self.nums[0]
         eps = list(self.nums[1:rel])
         eps += [0] * (rel - 1 - len(eps))  # the certified zeros past the stored nums
-        G, S = unit_power(eps, e, 1, self.nums[0])
-        s = S[-1]
-        rn = r0.numerator if s > 0 else -r0.numerator
-        nums = [rn * g * sk for g, sk in zip(G, reversed(S))]  # S_n / S_k = S_(n-k)
-        return _series(ve, nums, r0.denominator * abs(s), ve + rel)
+        G, S = unit_power(eps, e, rn if a0 > 0 or rel % 2 else -rn, a0)
+        nums = list(map(mul, G, reversed(S)))  # S_n / S_k = S_(n-k)
+        return _series(ve, nums, rd * abs(S[-1]), ve + rel)
 
     def sqrt(self, trunc: Optional[int] = None) -> "LaurentSeries":
         return self.power_rational(Fraction(1, 2), trunc)
@@ -586,12 +592,14 @@ def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]],
         weights: Optional[Iterable[Rat]] = None) -> LaurentSeries:
     """sum w * x * y over the pairs, built as one series with the certified order of the sum.
 
-    Every product is brought over one common denominator and packed at one
-    slot width (see :func:`_convolve`), so the whole sum is a single integer
-    of shifted big-int products, read back once; exact-zero factors are
-    skipped and a monomial factor only scales the packed other factor.  The
-    rational weights (1 each when None) go into the per-term denominator
-    scales; a zero weight skips its term, as 0 * (x * y) is exactly 0.
+    Every product is brought over one common denominator.  The products of
+    two factors of more than one term each are packed at one slot width (see
+    :func:`_convolve`), so their sum is a single integer of shifted big-int
+    products, read back once; a term with a monomial factor only scales the
+    numerators of its other factor into the output list, and exact-zero
+    factors are skipped.  The rational weights (1 each when None) go into the
+    per-term denominator scales; a zero weight skips its term, as
+    0 * (x * y) is exactly 0.
     """
     if weights is None:
         terms = [(x, y) for x, y in pairs if not (is_exact_zero(x) or is_exact_zero(y))]
@@ -628,17 +636,30 @@ def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]],
     if t is not None:
         hi = min(hi, t)
     n = max(0, hi - lo)
-    bound = 0
-    for (x, y), s in zip(terms, scales):
-        bound += abs(s) * min(len(x.nums), len(y.nums)) * _maxabs(x.nums) * _maxabs(y.nums)
-    kb = _slot_bytes(bound)
-    k = 8 * kb
-    acc = 0
+    scaled, packed, bound = [], [], 0
     for (x, y), s in zip(terms, scales):
         off = x.val + y.val - lo
-        if off < n:
-            acc += (_pack(x.nums[: n - off], k) * _pack(y.nums[: n - off], k) * s) << (k * off)
-    return _series(lo, _unpack(acc, kb, n), den, t)
+        if off >= n or not (x.nums and y.nums):
+            continue  # a truncated zero adds nothing but its order, counted in t
+        if len(x.nums) == 1 or len(y.nums) == 1:
+            (c,), ys = (x.nums, y.nums) if len(x.nums) == 1 else (y.nums, x.nums)
+            scaled.append((c * s, ys, off))
+        else:
+            packed.append((x.nums, y.nums, s, off))
+            bound += abs(s) * min(len(x.nums), len(y.nums)) * _maxabs(x.nums) * _maxabs(y.nums)
+    if packed:
+        kb = _slot_bytes(bound)
+        k = 8 * kb
+        acc = 0
+        for xs, ys, s, off in packed:
+            acc += (_pack(xs[: n - off], k) * _pack(ys[: n - off], k) * s) << (k * off)
+        out = _unpack(acc, kb, n)
+    else:
+        out = [0] * n
+    for c, ys, off in scaled:
+        end = min(off + len(ys), n)  # map stops at the shorter slice of out
+        out[off:end] = map(add, out[off:end], map(mul, ys, repeat(c)))
+    return _series(lo, out, den, t)
 
 
 def _series(val: int, nums: Sequence[int], den: int, trunc: Optional[int]) -> LaurentSeries:
@@ -647,6 +668,7 @@ def _series(val: int, nums: Sequence[int], den: int, trunc: Optional[int]) -> La
 
 
 _ZERO = _series(0, (), 1, None)  # immutable, so every exact zero can share it
+_MINUS_ONE = Fraction(-1)  # the exponent of an inverse
 
 
 def _coerce(x) -> LaurentSeries:

@@ -9,10 +9,12 @@ import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import opercalc.gauge as gauge_module
 from opercalc.errors import (
     IdentityCheckError,
     InsufficientTruncationError,
@@ -38,17 +40,19 @@ from opercalc.gauge import (
     normalize_singular,
     steps_from_unipotent,
 )
+from opercalc.gauge import _exp_minus_one, _exp_neg_ad, _nilpotent_sum, _odd_negated
 from opercalc.lie import invariants, model
 from opercalc.matrices import (
     smat_add,
     smat_agrees,
     smat_combine,
+    smat_comm,
     smat_from_frac,
     smat_identity,
     smat_scale,
     smat_zero,
 )
-from opercalc.series import Density, LaurentSeries
+from opercalc.series import Density, LaurentSeries, is_exact_zero
 
 Z = LaurentSeries.monomial(1, 1)
 ONE = LaurentSeries.one()
@@ -654,14 +658,14 @@ def law_combination(draw, m, d, lo=0):
 
 
 @st.composite
-def law_gauges(draw, m):
+def law_gauges(draw, m, step=law_combination):
     """t * exp(u_1) * ... with a drawn subset of torus coordinates (unit constant terms)."""
     torus = {}
     for r in range(m.rank):
         if draw(st.booleans()):
             c0 = draw(LAW_RATS.filter(lambda x: x != 0))
             torus[r] = LaurentSeries.constant(c0) + draw(law_series(1))
-    steps = [law_combination(draw, m, d) for d in range(1, m.dmax + 1)]
+    steps = [step(draw, m, d) for d in range(1, m.dmax + 1)]
     return GaugeElement(m, torus, steps)
 
 
@@ -711,6 +715,120 @@ class TestGroupLaws:
         g, cf2 = normalize(cf.connection())
         assert g.is_identity()
         assert cf2.agrees(cf)
+
+
+# -- gauge steps by conjugation, against the commutator series ----------------------
+
+
+def commutator_exp_neg_ad(m, u, q):
+    """e^{-ad u}(q) = q + t_1 + t_2 + ..., t_k = -(1/k) [u, t_(k-1)], to the first exact 0."""
+    return _nilpotent_sum(q, lambda t: smat_comm(u, t), lambda k: F(-1, k), 2 * m.dmax + 3)
+
+
+def commutator_steps():
+    """Run every gauge step of gauge_apply and normalize as the commutator series."""
+    return mock.patch.object(gauge_module, "_exp_neg_ad",
+                             lambda m, u, r, q: commutator_exp_neg_ad(m, u, q))
+
+
+def _mkey(a):
+    return tuple(tuple(_key(x) for x in row) for row in a)
+
+
+ORACLE = settings(derandomize=True, database=None, max_examples=8, deadline=None,
+                  phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+def oracle_series(lo=0):
+    """Exact 0, O(z^k), an exact polynomial, or a series from z^lo cut at a drawn order."""
+    return st.one_of(
+        st.just(ZERO),
+        st.integers(lo, LAW_T).map(LaurentSeries.zero),
+        st.lists(LAW_RATS, min_size=1, max_size=3).map(lambda cs: LaurentSeries(lo, cs)),
+        st.tuples(st.lists(LAW_RATS, max_size=LAW_T - lo), st.integers(lo, LAW_T)).map(
+            lambda ct: LaurentSeries(lo, *ct)),
+    )
+
+
+def cut_mates(draw, a, lo=0):
+    """a with some entries cut to a drawn order, below that of their mates; exact zeros stay."""
+    out = [row[:] for row in a]
+    for row in out:
+        for j, x in enumerate(row):
+            if not is_exact_zero(x) and draw(st.booleans()):
+                row[j] = x.truncate(draw(st.integers(lo, LAW_T)))
+    return out
+
+
+def oracle_part(draw, m, d, lo=0, series=oracle_series):
+    basis = m.graded_basis(d)
+    return cut_mates(draw, smat_combine([draw(series(lo)) for _ in basis], basis), lo)
+
+
+@st.composite
+def oracle_step(draw, m):
+    """(r, u): u homogeneous of degree r, a drawn vector of the model."""
+    r = draw(st.integers(1, m.dmax))
+    return r, oracle_part(draw, m, r)
+
+
+def with_multiple(draw, q, u):
+    """q + s u: the leading terms of [u, s u] cancel, and s u commutes with e^u."""
+    return smat_add(q, smat_scale(draw(law_series()), u))
+
+
+@st.composite
+def oracle_opers(draw, m):
+    """An oper, units on the simple roots, plus a multiple of a drawn degree-1 step."""
+    q = smat_add(smat_from_frac(m.y), oracle_part(draw, m, -1, lo=1, series=law_series))
+    for d in range(0, m.dmax + 1):
+        q = smat_add(q, oracle_part(draw, m, d))
+    q = with_multiple(draw, q, oracle_part(draw, m, 1))
+    return OperConnection(m, draw(PLANCKS), q)
+
+
+@pytest.mark.parametrize("family,rank", LAW_MODELS)
+class TestConjugatedSteps:
+    @ORACLE
+    @given(data=st.data())
+    def test_step_matches_commutator_series(self, family, rank, data):
+        m = model(family, rank)
+        r, u = data.draw(oracle_step(m))
+        q = smat_zero(m.N)
+        for d in range(-m.dmax, m.dmax + 1):
+            q = smat_add(q, oracle_part(data.draw, m, d))
+        q = with_multiple(data.draw, q, u)
+        assert _mkey(_exp_neg_ad(m, u, r, q)) == _mkey(commutator_exp_neg_ad(m, u, q))
+
+    @ORACLE
+    @given(data=st.data())
+    def test_odd_negated_is_exp_of_minus_u(self, family, rank, data):
+        m = model(family, rank)
+        r, u = data.draw(oracle_step(m))
+        want = _exp_minus_one(m, smat_scale(-1, u))
+        assert _mkey(_odd_negated(m, _exp_minus_one(m, u), r)) == _mkey(want)
+
+    @ORACLE
+    @given(data=st.data())
+    def test_gauge_apply_matches_commutator_series(self, family, rank, data):
+        m = model(family, rank)
+        conn = data.draw(oracle_opers(m))
+        b = data.draw(law_gauges(m, oracle_part))
+        conn = OperConnection(m, conn.planck, with_multiple(data.draw, conn.q, b.steps[0]))
+        got = gauge_apply(conn, b).q
+        with commutator_steps():
+            want = gauge_apply(conn, b).q
+        assert _mkey(got) == _mkey(want)
+
+    @ORACLE
+    @given(data=st.data())
+    def test_normalize_matches_commutator_series(self, family, rank, data):
+        conn = data.draw(oracle_opers(model(family, rank)))
+        g, cf = normalize(conn)
+        with commutator_steps():
+            g0, cf0 = normalize(conn)
+        assert _gauge_key(g) == _gauge_key(g0)
+        assert [_key(d.series) for d in cf.v] == [_key(d.series) for d in cf0.v]
 
 
 class TestInputChecks:

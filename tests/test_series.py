@@ -728,6 +728,10 @@ class TestPackedKernels:
     # or the two terms cancel in the bound while their sum is 2 w x y
     @example([((0, [F(3)] * 6, None), (0, [F(5)] * 6, None), F(1 << 90)),
               ((0, [F(3)] * 6, None), (0, [F(-5)] * 6, None), -F(1 << 90))])
+    # monomial factors only: the first scaled factor reaches past the order
+    # the second term certifies, and must be cut there, not written past it
+    @example([((1, [F(2, 3)], None), (0, [F(1), F(2), F(3), F(4), F(5)], None), 1),
+              ((0, [F(-1)], 3), (1, [F(7)], None), F(1, 2))])
     def test_weighted_dot_matches_scaled_sum(self, cases):
         # sum w * (x * y) built left to right by __mul__ and __add__
         pairs, weights, ref = [], [], LaurentSeries.zero()
