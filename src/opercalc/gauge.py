@@ -28,6 +28,7 @@ spectral data.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import ceil
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -187,25 +188,22 @@ class CanonicalForm(Record):
 # -- the gauge action -----------------------------------------------------------
 
 
-def _torus_powers(torus: Dict[int, LaurentSeries], trunc: Optional[int]):
-    """Per-root powers c^k needed positionwise, computed once; c^-1 to order `trunc`."""
-    cache: Dict[Tuple[int, int], LaurentSeries] = {}
+def _torus_powers(torus: Dict[int, LaurentSeries], inverse: Callable[[int], LaurentSeries]):
+    """Per-root powers c^k needed positionwise, each computed once; c^-k is inverse(r)^k."""
+    powers: Dict[Tuple[int, int], LaurentSeries] = {}
 
     def power(r: int, k: int) -> LaurentSeries:
-        if k == 0:
-            return ONE
-        if (r, k) not in cache:
-            c = torus.get(r, ONE)
-            cache[(r, k)] = c**k if k > 0 else c.inverse(trunc=trunc) ** (-k)
-        return cache[(r, k)]
+        if (r, k) not in powers:
+            powers[(r, k)] = torus[r] ** k if k > 0 else inverse(r) ** -k
+        return powers[(r, k)]
 
     return power
 
 
 def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: SeriesMatrix,
-                     sign: int, trunc: Optional[int] = None) -> SeriesMatrix:
+                     sign: int, inverse: Callable[[int], LaurentSeries]) -> SeriesMatrix:
     """Entrywise adjoint action of the torus element, with exponent sign*m."""
-    power = _torus_powers(torus, trunc)
+    power = _torus_powers(torus, inverse)
     out = smat_zero(model.N)
     for i in range(model.N):
         for j in range(model.N):
@@ -219,12 +217,14 @@ def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: Series
     return out
 
 
-def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries], q: SeriesMatrix,
-                 planck: Fraction, deriv: LaurentSeries, trunc: Optional[int]) -> SeriesMatrix:
-    out = _scale_positions(model, torus, q, -1, trunc)
+def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries],
+                 inverse: Callable[[int], LaurentSeries], q: SeriesMatrix,
+                 planck: Fraction, deriv: LaurentSeries) -> SeriesMatrix:
+    """Ad(t^-1) q + h * deriv * sum_r (c_r'/c_r) w_r, reading each c_r^-1 as inverse(r)."""
+    out = _scale_positions(model, torus, q, -1, inverse)
     if planck != 0:
         for r, c in torus.items():
-            rate = c.derivative() * c.inverse(trunc=trunc)
+            rate = c.derivative() * inverse(r)
             if is_exact_zero(rate):
                 continue
             term = planck * deriv * rate
@@ -298,7 +298,8 @@ def gauge_apply(conn: OperConnection, b: GaugeElement,
     b.validate()
     q = conn.q
     if b.torus:
-        q = _apply_torus(conn.model, b.torus, q, conn.planck, ONE, trunc)
+        inverse = cache(lambda r: b.torus[r].inverse(trunc=trunc))  # one per root
+        q = _apply_torus(conn.model, b.torus, inverse, q, conn.planck, ONE)
     for r, u in enumerate(b.steps, 1):
         if not smat_is_exact_zero(u):
             q = _apply_step(conn.model, u, r, q, conn.planck, ONE)
@@ -365,7 +366,7 @@ def gauge_compose(b1: GaugeElement, b2: GaugeElement) -> GaugeElement:
     # position by the inverse root value; each W is carried as W - 1.
     a1 = _unipotent_part(model, b1.steps)
     if b2.torus:
-        a1 = _scale_positions(model, b2.torus, a1, -1)
+        a1 = _scale_positions(model, b2.torus, a1, -1, cache(lambda r: b2.torus[r].inverse()))
     a = _group_mul(a1, _unipotent_part(model, b2.steps))
     return GaugeElement(model, torus, _peel(model, a))
 
@@ -377,7 +378,7 @@ def gauge_inverse(b: GaugeElement, trunc: Optional[int] = None) -> GaugeElement:
     # (exp(u_1) ... exp(u_n))^{-1} = exp(-u_n) ... exp(-u_1)
     inv = _unipotent_part(model, [smat_scale(-1, u) for u in reversed(b.steps)])
     if b.torus:
-        inv = _scale_positions(model, b.torus, inv, +1)
+        inv = _scale_positions(model, b.torus, inv, +1, torus.__getitem__)
     return GaugeElement(model, torus, _peel(model, inv))
 
 
@@ -404,6 +405,7 @@ def normalize(conn: OperConnection, trunc: Optional[int] = None,
     parts = model.grade_parts(q)
     a = _oper_subdiagonal(model, parts)
     torus: Dict[int, LaurentSeries] = {}
+    inverses: Dict[int, LaurentSeries] = {}
     for r, (ar, kr) in enumerate(zip(a, model.y_coeffs)):
         if not ar.is_unit():
             raise NotAnOperError(
@@ -412,8 +414,12 @@ def normalize(conn: OperConnection, trunc: Optional[int] = None,
         c = LaurentSeries.constant(kr).div(ar, trunc=trunc)
         if not (c.is_exact() and c == ONE):
             torus[r] = c
+            # c.inverse(trunc) is ar / kr, value and certified order alike: q is cut
+            # at trunc, so ar is certified to some t <= trunc, or exact and then a
+            # constant (div refuses any other), and c = kr / ar to the same t
+            inverses[r] = ar * (1 / kr)
     if torus:
-        q = _apply_torus(model, torus, q, conn.planck, f, trunc)
+        q = _apply_torus(model, torus, inverses.__getitem__, q, conn.planck, f)
     steps: List[SeriesMatrix] = []
     vout: List[LaurentSeries] = []
     for r in range(1, model.dmax + 2):

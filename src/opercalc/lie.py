@@ -4,9 +4,11 @@ Each model is a family letter and a rank: traceless matrices for A, and the
 stabilizer of an antidiagonal bilinear form for B (odd orthogonal), C
 (symplectic) and D (even orthogonal).  The forms are chosen so that the
 principal nilpotent is supported on superdiagonals with entries +-1 and the
-grading element is an integer diagonal matrix; gradings, root coordinates of
-matrix positions, and the splitting of each graded piece into the image of
-ad(y) plus a pinned complement are all computed exactly and cached.
+grading element is an integer diagonal matrix.  The coefficients of y and the
+coweights are closed forms (Bourbaki, Lie Groups, ch. VI, plates I-IV) read
+off the coroots [e_r, f_r]; only the splitting of each graded piece into the
+image of ad(y) plus a pinned complement takes elimination.  All of it is
+exact and cached.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from .matrices import (
     smat_combine,
     smat_mul,
     smat_zero,
-    solve_exact,
 )
 from .record import Record
 from .series import LaurentSeries, is_exact_zero
 
 FAMILIES = ("A", "B", "C", "D")
+_ZERO = Fraction(0)
 
 
 class AlgebraType(Record):
@@ -156,54 +158,53 @@ class LieModel:
 
     def _matrix(self, entries: Dict[Tuple[int, int], Fraction]) -> FracMatrix:
         """The N x N rational matrix with these entries and zeros elsewhere."""
-        zero = Fraction(0)
-        return tuple(tuple(entries.get((i, j), zero) for j in range(self.N))
-                     for i in range(self.N))
-
-    def _simple_classes(self) -> List[Tuple[int, int]]:
-        """Representative matrix position (0-based) of each simple root."""
-        n = self.rank
-        if self.family != "D":
-            return [(r, r + 1) for r in range(n)]
-        return [(r, r + 1) for r in range(n - 1)] + [(n - 2, n)]
+        rows = [[_ZERO] * self.N for _ in range(self.N)]
+        for (i, j), x in entries.items():
+            rows[i][j] = x
+        return tuple(map(tuple, rows))
 
     def _init_root_vectors(self):
-        reps = self._simple_classes()
+        n = self.rank
+        reps = [(r, r + 1) for r in range(n - (self.family == "D"))]
+        if self.family == "D":
+            reps.append((n - 2, n))  # the fork: the last two roots share row n - 2
         self.simple_positions = reps
         self.e_vectors = [self._pair_vector(i, j) for (i, j) in reps]
         self.f_vectors = [self._pair_vector(j, i) for (i, j) in reps]
-        self.x = fmat_combine([Fraction(1)] * self.rank, self.e_vectors)
-        # y = sum c_r f_r with [x, y] = h; only [e_r, f_r] hits the diagonal
-        cols = []
-        for e, f in zip(self.e_vectors, self.f_vectors):
-            d = fmat_comm(e, f)
-            if any(d[i][j] != 0 for i in range(self.N) for j in range(self.N) if i != j):
-                raise AssertionError("[e_r, f_r] is not diagonal")
-            cols.append([d[i][i] for i in range(self.N)])
-        rows = [[cols[r][i] for r in range(self.rank)] for i in range(self.N)]
-        coeffs = solve_exact(rows, self.hdiag)
-        self.y = fmat_combine(coeffs, self.f_vectors)
-        self.y_coeffs = coeffs
+        self.x = fmat_combine([Fraction(1)] * n, self.e_vectors)
+        # y = sum c_r f_r with [x, y] = h.  [e_r, f_s] = 0 for r != s, and [e_r, f_r]
+        # is the coroot, +1 at row i and -1 at row j of the position (i, j) and
+        # mirrored below the middle, so c_r is h summed down to row i.  D's fork
+        # roots differ only in sign at row n - 1, where h is 0: each takes half.
+        fork = n - 2 if self.family == "D" else n
+        self.y_coeffs = [sum(self.hdiag[:i + 1]) / (2 if r >= fork else 1)
+                         for r, (i, _) in enumerate(reps)]
+        self.y = fmat_combine(self.y_coeffs, self.f_vectors)
         if fmat_comm(self.x, self.y) != self.h:
             raise AssertionError("principal relations failed")
 
     def _init_coweights(self):
-        N, n = self.N, self.rank
-        if self.family == "A":
-            basis = [[Fraction(1 if i == r else (-1 if i == r + 1 else 0)) for i in range(N)]
-                     for r in range(n)]
-        else:
-            basis = [[Fraction(1 if i == r else (-1 if i == N - 1 - r else 0)) for i in range(N)]
-                     for r in range(n)]
-        # alpha_s evaluated on a diagonal via its representative position
-        def pair(pos, diag):
-            return diag[pos[0]] - diag[pos[1]]
+        """Coweight r: the diagonal w with w[i] - w[j] = [r == s] at the position
+        (i, j) of each simple root s.
 
-        A = [[pair(self.simple_positions[s], basis[r]) for r in range(n)] for s in range(n)]
-        Ainv = fmat_inverse(A)  # coweight r solves A sol = e_r: column r of A^-1
-        self.coweights: List[List[Fraction]] = [
-            [sum((Ainv[t][r] * basis[t][i] for t in range(n)), Fraction(0)) for i in range(N)]
-            for r in range(n)]
+        For A it is [i <= r] less its mean; for B, C and D the step
+        [i <= r] - [i >= N-1-r], odd under the form's i -> N-1-i.  A root whose
+        column mirrors its row reads w[i] - w[N-1-i] = 2 w[i], so C's last root
+        at (n-1, n) takes half a step.  So do D's fork roots, which read
+        w[n-2] -+ w[n-1]: one is 1 and the other 0 when w[n-1] = w[n-2] = 1/2,
+        and swapped when w[n-1] = -1/2 (and w[n] = 1/2 by the form).
+        """
+        N, n = self.N, self.rank
+        halved = {"C": n - 1, "D": n - 2}.get(self.family, n)  # first half-step root
+        self.coweights: List[List[Fraction]] = []
+        for r in range(n):
+            if self.family == "A":
+                w = [Fraction((i <= r) * N - r - 1, N) for i in range(N)]
+            else:
+                w = [Fraction((i <= r) - (i >= N - 1 - r), 1 + (r >= halved)) for i in range(N)]
+            if self.family == "D" and r == n - 2:
+                w[n - 1], w[n] = Fraction(-1, 2), Fraction(1, 2)
+            self.coweights.append(w)
 
     # -- gradings ---------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Two kinds of matrices appear: structure matrices over Q (nested tuples of
 Fraction) and matrices of series (nested lists of LaurentSeries).  Structure
-matrices support elimination and solving; series matrices only
+matrices support elimination and inversion; series matrices only
 need the ring operations and evaluation against rational structure data.
 
 Series matrices skip exact-zero entries everywhere.  A product entry with
@@ -99,21 +99,6 @@ def fmat_inverse(a: FracMatrix) -> FracMatrix:
     if pivots[:n] != list(range(n)):
         raise PreconditionError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))
-
-
-def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> List[Fraction]:
-    """The unique solution of a consistent full-column-rank system."""
-    rows = [list(map(Fraction, r)) + [Fraction(bi)] for r, bi in zip(a, b)]
-    ncols = len(a[0])
-    red, pivots = rref(rows)
-    if ncols in pivots:
-        raise PreconditionError("inconsistent linear system")
-    if len(pivots) != ncols:
-        raise PreconditionError("linear system is underdetermined")
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
 
 
 # -- series matrices ----------------------------------------------------------

@@ -240,6 +240,54 @@ class TestAction:
             GaugeElement(sl2, {0: ZERO}, []).validate()
 
 
+def inverse_calls(fn):
+    """fn() and the number of LaurentSeries.inverse calls it made."""
+    real, calls = LaurentSeries.inverse, []
+
+    def counted(self, trunc=None):
+        calls.append(self)
+        return real(self, trunc=trunc)
+
+    with mock.patch.object(LaurentSeries, "inverse", counted):
+        return fn(), len(calls)
+
+
+class TestTorusInverses:
+    """normalize reads each c_r^-1 as a_r / k_r, so its one inverse per root
+    is that of a_r in c_r = k_r / a_r; gauge_apply inverts each c_r once and
+    shares it between the powers and the rate c_r'/c_r."""
+
+    @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3)])
+    def test_normalize_inverts_each_root_once(self, family, rank):
+        m = model(family, rank)
+        conn = rnd_oper(random.Random(5), m, F(1))
+        (g, _), calls = inverse_calls(lambda: normalize(conn))
+        assert len(g.torus) == m.rank
+        assert calls == m.rank
+
+    @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 3)])
+    def test_gauge_apply_inverts_each_root_once(self, family, rank):
+        rng = random.Random(6)
+        m = model(family, rank)
+        conn, b = rnd_oper(rng, m, F(1)), rnd_gauge(rng, m)
+        _, calls = inverse_calls(lambda: gauge_apply(conn, b))
+        assert calls == len(b.torus) == m.rank
+
+    @pytest.mark.parametrize("trunc", [None, 1, 4, 12])
+    def test_a_over_k_is_the_inverse(self, trunc):
+        # exact and truncated constants, truncated series: c^-1 to order trunc
+        # is a / k on value and certified order alike
+        m = model("C", 3)
+        rng = random.Random(7)
+        for a in (LaurentSeries.constant(F(-3, 2)), LaurentSeries.constant(5, 3),
+                  rnd_series(rng), ONE + Z * rnd_series(rng, 6)):
+            if trunc is not None:
+                a = a.truncate(trunc)
+            for k in m.y_coeffs:
+                c = LaurentSeries.constant(k).div(a, trunc=trunc)
+                assert c.inverse(trunc=trunc) == a * (1 / k), (a, k)
+
+
 class TestNormalize:
     def test_sl2_example(self):
         # [[z, 0], [1, -z]] has normal form y + (z^2 + planck) x

@@ -104,6 +104,52 @@ class TestStructure:
 RANK_CAP_MODELS = [(f, r) for f in "ABCD" for r in range(1, 13) if (f, r) != ("D", 1)]
 
 
+def y_coeffs_oracle(m):
+    """The coefficients of y by elimination: [x, y] = h read on the diagonal,
+    one column [e_r, f_r] per simple root, solved by rref."""
+    cols = [fmat_comm(e, f) for e, f in zip(m.e_vectors, m.f_vectors)]
+    assert all(c[i][j] == 0 for c in cols for i in range(m.N) for j in range(m.N) if i != j)
+    rows = [[c[i][i] for c in cols] + [m.hdiag[i]] for i in range(m.N)]
+    red, pivots = rref(rows)
+    assert pivots == list(range(m.rank))
+    return [red[r][m.rank] for r in range(m.rank)]
+
+
+def coweights_oracle(m):
+    """The coweights by inverting the simple roots' values on a basis of
+    diagonals: E_rr - E_(r+1)(r+1) for A, E_rr - E_(N-1-r)(N-1-r) otherwise."""
+    N, n = m.N, m.rank
+    ends = [r + 1 if m.family == "A" else N - 1 - r for r in range(n)]
+    basis = [[F(int(i == r) - int(i == e)) for i in range(N)] for r, e in enumerate(ends)]
+    inv = fmat_inverse([[b[i] - b[j] for b in basis] for i, j in m.simple_positions])
+    return [[sum((inv[t][r] * basis[t][i] for t in range(n)), F(0)) for i in range(N)]
+            for r in range(n)]
+
+
+class TestClosedForms:
+    """y_coeffs and the coweights are closed forms; these check the equations
+    that define them, and the elimination that found them before."""
+
+    @pytest.mark.parametrize("family,rank", RANK_CAP_MODELS)
+    def test_formulas_solve_their_equations(self, family, rank):
+        m = model(family, rank)
+        assert fmat_comm(m.x, m.y) == m.h
+        assert m.y == fmat_combine(m.y_coeffs, m.f_vectors)
+        for r, w in enumerate(m.coweights):
+            assert [w[i] - w[j] for i, j in m.simple_positions] == [
+                int(s == r) for s in range(m.rank)], r
+            if family == "A":
+                assert sum(w) == 0, r
+            else:
+                assert all(w[i] == -w[m.N - 1 - i] for i in range(m.N)), r
+
+    @pytest.mark.parametrize("family,rank", RANK_CAP_MODELS)
+    def test_formulas_match_elimination(self, family, rank):
+        m = model(family, rank)
+        assert m.y_coeffs == y_coeffs_oracle(m)
+        assert m.coweights == coweights_oracle(m)
+
+
 def kerx_oracle(m, d):
     """The slice at degree d by elimination: the kernel of [x, .] from degree
     d to d + 1, one vector per free column (all units at the top degree), with
