@@ -46,12 +46,10 @@ from .matrices import (
     smat_combine,
     smat_comm,
     smat_derivative,
-    smat_identity,
     smat_is_exact_zero,
     smat_is_zero,
     smat_mul,
     smat_scale,
-    smat_sub,
     smat_truncate,
     smat_zero,
 )
@@ -63,7 +61,7 @@ __all__ = [
     "classify_singularity", "desingularize", "desingularize_componentwise", "embed_sl2",
     "gauge_apply", "gauge_compose", "gauge_inverse", "hitchin_map", "identity_gauge",
     "moduli_dimension",  # defined in lie, which needs no gauge machinery for it
-    "normalize", "normalize_singular", "steps_from_unipotent",
+    "normalize", "normalize_singular",
 ]
 
 ONE = LaurentSeries.one()
@@ -188,22 +186,13 @@ class CanonicalForm(Record):
 # -- the gauge action -----------------------------------------------------------
 
 
-def _torus_powers(torus: Dict[int, LaurentSeries], inverse: Callable[[int], LaurentSeries]):
-    """Per-root powers c^k needed positionwise, each computed once; c^-k is inverse(r)^k."""
-    powers: Dict[Tuple[int, int], LaurentSeries] = {}
-
-    def power(r: int, k: int) -> LaurentSeries:
-        if (r, k) not in powers:
-            powers[(r, k)] = torus[r] ** k if k > 0 else inverse(r) ** -k
-        return powers[(r, k)]
-
-    return power
-
-
 def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: SeriesMatrix,
-                     sign: int, inverse: Callable[[int], LaurentSeries]) -> SeriesMatrix:
-    """Entrywise adjoint action of the torus element, with exponent sign*m."""
-    power = _torus_powers(torus, inverse)
+                     inverse: Callable[[int], LaurentSeries]) -> SeriesMatrix:
+    """Ad(t^-1) w: a root position scales by prod_r c_r^-m, reading each c_r^-1 as inverse(r).
+
+    Each power c_r^k a position needs is formed once.
+    """
+    powers: Dict[Tuple[int, int], LaurentSeries] = {}
     out = smat_zero(model.N)
     for i in range(model.N):
         for j in range(model.N):
@@ -212,7 +201,9 @@ def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: Series
                 continue
             for r, m in enumerate(model.root_coords(i, j)):
                 if m and (r in torus):
-                    s = s * power(r, sign * m)
+                    if (r, m) not in powers:
+                        powers[(r, m)] = inverse(r) ** m if m > 0 else torus[r] ** -m
+                    s = s * powers[(r, m)]
             out[i][j] = s
     return out
 
@@ -221,7 +212,7 @@ def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries],
                  inverse: Callable[[int], LaurentSeries], q: SeriesMatrix,
                  planck: Fraction, deriv: LaurentSeries) -> SeriesMatrix:
     """Ad(t^-1) q + h * deriv * sum_r (c_r'/c_r) w_r, reading each c_r^-1 as inverse(r)."""
-    out = _scale_positions(model, torus, q, -1, inverse)
+    out = _scale_positions(model, torus, q, inverse)
     if planck != 0:
         for r, c in torus.items():
             rate = c.derivative() * inverse(r)
@@ -234,19 +225,18 @@ def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries],
 
 
 def _nilpotent_sum(start: SeriesMatrix, step: Callable[[SeriesMatrix], SeriesMatrix],
-                   coeff: Callable[[int], Fraction], limit: int) -> SeriesMatrix:
-    """start + t_1 + t_2 + ... with t_0 = start, t_k = coeff(k) * step(t_{k-1}).
+                   sign: int) -> SeriesMatrix:
+    """start + t_1 + t_2 + ... with t_0 = start, t_k = sign/(k+1) * step(t_{k-1}).
 
     The step is nilpotent, so the sum stops at the first exactly vanishing
-    term (a truncated zero still certifies an order and is added);
-    `limit` bounds the number of terms tried.
+    term (a truncated zero still certifies an order and is added).  On N x N
+    matrices the step is t -> t u or t -> [u, t] for a nilpotent u, and
+    u^N = 0 and (ad u)^(2N-1) = 0, so 2N terms always suffice; running out
+    of them means the step was not nilpotent.
     """
     total = term = start
-    for k in range(1, limit + 1):
-        term = step(term)
-        c = coeff(k)
-        if c != 1:
-            term = smat_scale(c, term)
+    for k in range(1, 2 * len(start)):
+        term = smat_scale(Fraction(sign, k + 1), step(term))
         if smat_is_exact_zero(term):
             return total
         total = smat_add(total, term)
@@ -255,7 +245,7 @@ def _nilpotent_sum(start: SeriesMatrix, step: Callable[[SeriesMatrix], SeriesMat
 
 def _exp_neg_ad(model: LieModel, u: SeriesMatrix, r: int, q: SeriesMatrix) -> SeriesMatrix:
     """e^{-ad u}(q) = e^{-u} q e^{u} for u homogeneous of degree r, each factor as W - 1."""
-    e = _exp_minus_one(model, u)
+    e = _exp_minus_one(u)
     left = smat_add(q, smat_mul(_odd_negated(model, e, r), q))
     return smat_add(left, smat_mul(left, e))
 
@@ -270,9 +260,9 @@ def _odd_negated(model: LieModel, e: SeriesMatrix, r: int) -> SeriesMatrix:
             for row, degs in zip(e, model.grades)]
 
 
-def _phi_neg_ad(model: LieModel, u: SeriesMatrix, w: SeriesMatrix) -> SeriesMatrix:
-    return _nilpotent_sum(w, lambda t: smat_comm(u, t), lambda k: Fraction(-1, k + 1),
-                          2 * model.dmax + 3)
+def _phi_neg_ad(u: SeriesMatrix, w: SeriesMatrix) -> SeriesMatrix:
+    """Phi(-ad u)(w) = w - [u, w]/2 + [u, [u, w]]/6 - ..."""
+    return _nilpotent_sum(w, lambda t: smat_comm(u, t), -1)
 
 
 def _apply_step(model: LieModel, u: SeriesMatrix, r: int, q: SeriesMatrix,
@@ -282,7 +272,7 @@ def _apply_step(model: LieModel, u: SeriesMatrix, r: int, q: SeriesMatrix,
     if planck != 0:
         du = smat_derivative(u)
         if not smat_is_exact_zero(du):
-            out = smat_add(out, smat_scale(planck * deriv, _phi_neg_ad(model, u, du)))
+            out = smat_add(out, smat_scale(planck * deriv, _phi_neg_ad(u, du)))
     return out
 
 
@@ -309,9 +299,9 @@ def gauge_apply(conn: OperConnection, b: GaugeElement,
 # -- composition in the gauge group ----------------------------------------------
 
 
-def _exp_minus_one(model: LieModel, u: SeriesMatrix) -> SeriesMatrix:
+def _exp_minus_one(u: SeriesMatrix) -> SeriesMatrix:
     """exp(u) - 1 = u + u^2/2 + ...: a unipotent element less its unit diagonal."""
-    return _nilpotent_sum(u, lambda t: smat_mul(t, u), lambda k: Fraction(1, k + 1), model.N)
+    return _nilpotent_sum(u, lambda t: smat_mul(t, u), 1)
 
 
 def _group_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
@@ -324,27 +314,22 @@ def _unipotent_part(model: LieModel, steps: Sequence[SeriesMatrix]) -> SeriesMat
     a = smat_zero(model.N)
     for u in steps:
         if not smat_is_exact_zero(u):
-            a = _group_mul(a, _exp_minus_one(model, u))
+            a = _group_mul(a, _exp_minus_one(u))
     return a
 
 
-def steps_from_unipotent(model: LieModel, w: SeriesMatrix) -> List[SeriesMatrix]:
-    """Peel a unipotent group element into homogeneous exponential steps.
-
-    u_d is read from w at the degree-d pivots (the identity has degree 0);
-    input outside the group of the model leaves a nonzero residual w - 1.
-    """
-    return _peel(model, smat_sub(w, smat_identity(model.N)))
-
-
 def _peel(model: LieModel, a: SeriesMatrix) -> List[SeriesMatrix]:
-    """:func:`steps_from_unipotent` of the element 1 + a."""
+    """Peel the unipotent element 1 + a into homogeneous exponential steps.
+
+    u_d is read from a at the degree-d pivots; input outside the group of
+    the model leaves a nonzero residual.
+    """
     steps = []
     for d in range(1, model.dmax + 1):
         u = smat_combine(model.coords(d, a), model.graded_basis(d))
         steps.append(u)
         if not smat_is_exact_zero(u):
-            a = _group_mul(_exp_minus_one(model, smat_scale(-1, u)), a)
+            a = _group_mul(_exp_minus_one(smat_scale(-1, u)), a)
     if not smat_is_zero(a):
         raise PreconditionError("matrix is not in the unipotent group of the model")
     return steps
@@ -366,7 +351,7 @@ def gauge_compose(b1: GaugeElement, b2: GaugeElement) -> GaugeElement:
     # position by the inverse root value; each W is carried as W - 1.
     a1 = _unipotent_part(model, b1.steps)
     if b2.torus:
-        a1 = _scale_positions(model, b2.torus, a1, -1, cache(lambda r: b2.torus[r].inverse()))
+        a1 = _scale_positions(model, b2.torus, a1, cache(lambda r: b2.torus[r].inverse()))
     a = _group_mul(a1, _unipotent_part(model, b2.steps))
     return GaugeElement(model, torus, _peel(model, a))
 
@@ -378,7 +363,8 @@ def gauge_inverse(b: GaugeElement, trunc: Optional[int] = None) -> GaugeElement:
     # (exp(u_1) ... exp(u_n))^{-1} = exp(-u_n) ... exp(-u_1)
     inv = _unipotent_part(model, [smat_scale(-1, u) for u in reversed(b.steps)])
     if b.torus:
-        inv = _scale_positions(model, b.torus, inv, +1, torus.__getitem__)
+        # Ad(t) = Ad((t^-1)^-1): the inverted torus acts, and b.torus is its inverse
+        inv = _scale_positions(model, torus, inv, b.torus.__getitem__)
     return GaugeElement(model, torus, _peel(model, inv))
 
 
@@ -455,7 +441,10 @@ def desingularize(f: LaurentSeries, cf: CanonicalForm,
     The gauge is torus coordinates c_alpha = f for every alpha together with
     the single step (h/2)(f'/f) x; both come from pushing the 2x2 matrix
     [[f, h f'/2], [0, 1]] through the principal embedding.  The result has
-    Laurent coefficients when f vanishes at the origin.
+    Laurent coefficients when f vanishes at the origin.  The gauge is valid by
+    construction (f is not zero and the step is a multiple of x), so it is
+    applied directly, without the validation of :func:`gauge_apply`, and every
+    c_alpha^-1 is the one inverse of f.
     """
     if f.is_zero():
         raise PreconditionError("cannot desingularize by an identically zero series")
@@ -472,12 +461,11 @@ def desingularize(f: LaurentSeries, cf: CanonicalForm,
         lift = min(max([0] + [d.series.val for d in cf.v]), max(trunc, 0))
         tinv = trunc + 1 + lift + (model.dmax + 1) * max(f.val, 1)
     finv = f.inverse(trunc=tinv)
-    q = smat_scale(finv, cf.matrix())
-    conn = OperConnection(model, h, q)
     torus = {r: f for r in range(model.rank)}
-    rate = f.derivative() * finv
-    u1 = smat_combine([rate * Fraction(h, 2)], [model.x])
-    out = gauge_apply(conn, GaugeElement(model, torus, [u1]), trunc=tinv).q
+    out = _apply_torus(model, torus, lambda r: finv, smat_scale(finv, cf.matrix()), h, ONE)
+    u1 = smat_combine([f.derivative() * finv * Fraction(h, 2)], [model.x])
+    if not smat_is_exact_zero(u1):
+        out = _apply_step(model, u1, 1, out, h, ONE)
     if not all(
         s.agrees(LaurentSeries.constant(k))
         for s, k in zip(model.subdiagonal_coords(out), model.y_coeffs)

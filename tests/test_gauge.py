@@ -38,9 +38,8 @@ from opercalc.gauge import (
     moduli_dimension,
     normalize,
     normalize_singular,
-    steps_from_unipotent,
 )
-from opercalc.gauge import _exp_minus_one, _exp_neg_ad, _nilpotent_sum, _odd_negated
+from opercalc.gauge import _exp_minus_one, _exp_neg_ad, _odd_negated, _peel, _phi_neg_ad
 from opercalc.lie import invariants, model
 from opercalc.matrices import (
     smat_add,
@@ -49,6 +48,7 @@ from opercalc.matrices import (
     smat_comm,
     smat_from_frac,
     smat_identity,
+    smat_is_exact_zero,
     smat_scale,
     smat_zero,
 )
@@ -193,10 +193,10 @@ class TestAction:
     @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("D", 3)])
     def test_unipotent_peeling_rejects_non_model_matrix(self, family, rank):
         m = model(family, rank)
-        w = smat_identity(m.N)
-        w[0][1] = ONE  # a simple-root entry without its form partner
+        a = smat_zero(m.N)  # w - 1 for the element w = 1 + E_01
+        a[0][1] = ONE  # a simple-root entry without its form partner
         with pytest.raises(PreconditionError):
-            steps_from_unipotent(m, w)
+            _peel(m, a)
 
     def test_validate_rejects_inhomogeneous_step(self):
         sl2 = model("A", 1)
@@ -286,6 +286,34 @@ class TestTorusInverses:
             for k in m.y_coeffs:
                 c = LaurentSeries.constant(k).div(a, trunc=trunc)
                 assert c.inverse(trunc=trunc) == a * (1 / k), (a, k)
+
+
+class TestDesingularizeInverse:
+    """desingularize inverts f once and reads every c_alpha^-1 as that inverse."""
+
+    @pytest.mark.parametrize("family,rank", [("A", 1), ("B", 2), ("C", 3), ("D", 4)])
+    def test_one_inverse_per_call(self, family, rank):
+        rng = random.Random(8)
+        m = model(family, rank)
+        cf = CanonicalForm.of(m, F(1), [rnd_series(rng) for _ in m.exponents])
+        f = Z + Z * Z * rnd_series(rng)
+        _, calls = inverse_calls(lambda: desingularize(f, cf, trunc=8))
+        assert calls == 1
+
+
+@pytest.mark.parametrize("family,rank", MODELS)
+class TestNilpotentSums:
+    """2N terms bound the sums; a step that is not nilpotent raises, not loops."""
+
+    def test_exp_of_identity_raises(self, family, rank):
+        with pytest.raises(AssertionError, match="failed to terminate"):
+            _exp_minus_one(smat_identity(model(family, rank).N))
+
+    def test_phi_of_semisimple_raises(self, family, rank):
+        # the identity commutes with everything; [h, x] = 2x never reaches 0
+        m = model(family, rank)
+        with pytest.raises(AssertionError, match="failed to terminate"):
+            _phi_neg_ad(smat_from_frac(m.h), smat_from_frac(m.x))
 
 
 class TestNormalize:
@@ -770,7 +798,13 @@ class TestGroupLaws:
 
 def commutator_exp_neg_ad(m, u, q):
     """e^{-ad u}(q) = q + t_1 + t_2 + ..., t_k = -(1/k) [u, t_(k-1)], to the first exact 0."""
-    return _nilpotent_sum(q, lambda t: smat_comm(u, t), lambda k: F(-1, k), 2 * m.dmax + 3)
+    total = term = q
+    for k in range(1, 2 * m.dmax + 4):
+        term = smat_scale(F(-1, k), smat_comm(u, term))
+        if smat_is_exact_zero(term):
+            return total
+        total = smat_add(total, term)
+    raise AssertionError("nilpotent sum failed to terminate")
 
 
 def commutator_steps():
@@ -853,8 +887,8 @@ class TestConjugatedSteps:
     def test_odd_negated_is_exp_of_minus_u(self, family, rank, data):
         m = model(family, rank)
         r, u = data.draw(oracle_step(m))
-        want = _exp_minus_one(m, smat_scale(-1, u))
-        assert _mkey(_odd_negated(m, _exp_minus_one(m, u), r)) == _mkey(want)
+        want = _exp_minus_one(smat_scale(-1, u))
+        assert _mkey(_odd_negated(m, _exp_minus_one(u), r)) == _mkey(want)
 
     @ORACLE
     @given(data=st.data())
