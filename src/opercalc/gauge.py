@@ -7,14 +7,17 @@ degree r.  The action is q |-> Ad(b^{-1}) q + h * b^{-1} b'.  Torus elements
 act diagonally on root spaces (their matrix form may not exist over Q).  An
 exponential step is q |-> e^{-ad u}(q) + h*Phi(-ad u)(u') with
 Phi(A) = (e^A - 1)/A, and its first term is the conjugation e^{-u} q e^{u}:
-two matrix products, with each factor carried as W - 1.  The grading is
-additive, so u^k lives only in degree k r, and e^{-u} - 1 is e^{u} - 1 with
-its odd powers negated, read off the degree of each position.  Phi stays the
-commutator series: it starts at u', which is homogeneous and as sparse as u,
-and each commutator raises the degree by r, so it ends after a few sparse
-products.  Folding it into the conjugation as h e^{-u} (e^{u})' gives the
-same output; it waits until the benchmark's layer guard stops counting
-calls of smat_comm.
+two matrix products, each factor W carried as W - 1 and multiplied as that
+with its diagonal, an exact 0 by grading, replaced by exact ONEs.  The
+grading is additive, so u^k lives only in degree k r, and e^{-u} - 1 is
+e^{u} - 1 with its odd powers negated, read off the degree of each position.
+A gauge element carries e^{u} - 1 of its steps once formed, so acting,
+composing and inverting exponentiate each step of an element once.  Phi
+stays the commutator series: it starts at u', which is homogeneous and as
+sparse as u, and each commutator raises the degree by r, so it ends after a
+few sparse products.  Folding it into the conjugation as h e^{-u} (e^{u})'
+gives the same output; it waits until the benchmark's layer guard stops
+counting calls of smat_comm.
 
 Normalization moves any connection satisfying the transversality/unit
 conditions to the unique representative y + sum_d v_d * B_d, one density v_d
@@ -54,7 +57,7 @@ from .matrices import (
     smat_zero,
 )
 from .record import Record
-from .series import Density, LaurentSeries, is_exact_zero
+from .series import Density, LaurentSeries, dot, is_exact_zero
 
 __all__ = [
     "CanonicalForm", "GaugeElement", "OperConnection", "act_quadratic_differential",
@@ -93,15 +96,18 @@ class GaugeElement(Record):
     `torus` maps a simple-root index to the coordinate c_alpha = alpha(t);
     missing indices mean 1.  `steps[r-1]` is u_r, homogeneous of degree r
     (trailing entries may be zero matrices).  Unhashable, as `torus` is a dict.
+    The private `_exps`, exp(u_r) - 1 per step (None for an exact 0), is a
+    cache: set by what formed them anyway, or on first use (:func:`_step_exps`).
     """
 
-    __slots__ = ("model", "torus", "steps")
+    __slots__ = ("model", "torus", "steps", "_exps")
 
     def __init__(self, model: LieModel, torus: Optional[Dict[int, LaurentSeries]] = None,
                  steps: Optional[List[SeriesMatrix]] = None):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "torus", {} if torus is None else torus)
         object.__setattr__(self, "steps", [] if steps is None else steps)
+        object.__setattr__(self, "_exps", None)
 
     def validate(self):
         for r, c in self.torus.items():
@@ -190,37 +196,47 @@ def _scale_positions(model: LieModel, torus: Dict[int, LaurentSeries], w: Series
                      inverse: Callable[[int], LaurentSeries]) -> SeriesMatrix:
     """Ad(t^-1) w: a root position scales by prod_r c_r^-m, reading each c_r^-1 as inverse(r).
 
-    Each power c_r^k a position needs is formed once.
+    Each power c_r^k and each character prod_r c_r^-m is formed once, so a
+    position costs one product; grouping the factors so changes no certified
+    order, as a product's relative precision is the least of its factors'.
     """
     powers: Dict[Tuple[int, int], LaurentSeries] = {}
+    chars: Dict[Tuple[int, ...], Optional[LaurentSeries]] = {}
     out = smat_zero(model.N)
     for i in range(model.N):
         for j in range(model.N):
             s = w[i][j]
             if is_exact_zero(s):
                 continue
-            for r, m in enumerate(model.root_coords(i, j)):
-                if m and (r in torus):
-                    if (r, m) not in powers:
-                        powers[(r, m)] = inverse(r) ** m if m > 0 else torus[r] ** -m
-                    s = s * powers[(r, m)]
-            out[i][j] = s
+            ms = model.root_coords(i, j)
+            if ms not in chars:
+                char = None
+                for r, m in enumerate(ms):
+                    if m and (r in torus):
+                        if (r, m) not in powers:
+                            powers[(r, m)] = inverse(r) ** m if m > 0 else torus[r] ** -m
+                        char = powers[(r, m)] if char is None else char * powers[(r, m)]
+                chars[ms] = char
+            out[i][j] = s if chars[ms] is None else s * chars[ms]
     return out
 
 
 def _apply_torus(model: LieModel, torus: Dict[int, LaurentSeries],
                  inverse: Callable[[int], LaurentSeries], q: SeriesMatrix,
                  planck: Fraction, deriv: LaurentSeries) -> SeriesMatrix:
-    """Ad(t^-1) q + h * deriv * sum_r (c_r'/c_r) w_r, reading each c_r^-1 as inverse(r)."""
+    """Ad(t^-1) q + h * deriv * sum_r (c_r'/c_r) w_r, reading each c_r^-1 as inverse(r).
+
+    The rate adds to each diagonal entry as one weighted dot over the roots
+    whose c_r is not an exact constant.
+    """
     out = _scale_positions(model, torus, q, inverse)
-    if planck != 0:
-        for r, c in torus.items():
-            rate = c.derivative() * inverse(r)
-            if is_exact_zero(rate):
-                continue
-            term = planck * deriv * rate
-            for i in range(model.N):
-                out[i][i] = out[i][i] + model.coweights[r][i] * term
+    rates = [] if planck == 0 else [(r, c.derivative() * inverse(r)) for r, c in torus.items()]
+    rates = [(r, x) for r, x in rates if not is_exact_zero(x)]
+    if rates:
+        pairs = [(deriv, x) for _, x in rates]
+        for i, row in enumerate(out):
+            row[i] = dot([(row[i], ONE)] + pairs,
+                         [1] + [planck * model.coweights[r][i] for r, _ in rates])
     return out
 
 
@@ -243,11 +259,25 @@ def _nilpotent_sum(start: SeriesMatrix, step: Callable[[SeriesMatrix], SeriesMat
     raise AssertionError("nilpotent sum failed to terminate")
 
 
-def _exp_neg_ad(model: LieModel, u: SeriesMatrix, r: int, q: SeriesMatrix) -> SeriesMatrix:
-    """e^{-ad u}(q) = e^{-u} q e^{u} for u homogeneous of degree r, each factor as W - 1."""
-    e = _exp_minus_one(u)
-    left = smat_add(q, smat_mul(_odd_negated(model, e, r), q))
-    return smat_add(left, smat_mul(left, e))
+def _exp_neg_ad(model: LieModel, e: SeriesMatrix, r: int, q: SeriesMatrix) -> SeriesMatrix:
+    """e^{-ad u}(q) = e^{-u} q e^{u} for u homogeneous of degree r, from e = e^{u} - 1.
+
+    Two products, (1 + f) q and that times (1 + e), with f = e^{-u} - 1 read
+    off e by parity; each entry of each product is one series.
+    """
+    return smat_mul(smat_mul(_plus_one(_odd_negated(model, e, r)), q), _plus_one(e))
+
+
+def _plus_one(w: SeriesMatrix) -> SeriesMatrix:
+    """1 + w for w = W - 1 with W unipotent: a copy of w with ONE on the diagonal.
+
+    w lives in positive degrees, so its diagonal (degree 0) is an exact 0,
+    and a product by the exact ONE returns the other factor at once.
+    """
+    out = [list(row) for row in w]
+    for i, row in enumerate(out):
+        row[i] = ONE
+    return out
 
 
 def _odd_negated(model: LieModel, e: SeriesMatrix, r: int) -> SeriesMatrix:
@@ -265,10 +295,10 @@ def _phi_neg_ad(u: SeriesMatrix, w: SeriesMatrix) -> SeriesMatrix:
     return _nilpotent_sum(w, lambda t: smat_comm(u, t), -1)
 
 
-def _apply_step(model: LieModel, u: SeriesMatrix, r: int, q: SeriesMatrix,
+def _apply_step(model: LieModel, u: SeriesMatrix, e: SeriesMatrix, r: int, q: SeriesMatrix,
                 planck: Fraction, deriv: LaurentSeries) -> SeriesMatrix:
-    """e^{-ad u}(q) + h * deriv * Phi(-ad u)(u') for u homogeneous of degree r."""
-    out = _exp_neg_ad(model, u, r, q)
+    """e^{-ad u}(q) + h * deriv * Phi(-ad u)(u') for u homogeneous of degree r, e = e^{u} - 1."""
+    out = _exp_neg_ad(model, e, r, q)
     if planck != 0:
         du = smat_derivative(u)
         if not smat_is_exact_zero(du):
@@ -290,9 +320,9 @@ def gauge_apply(conn: OperConnection, b: GaugeElement,
     if b.torus:
         inverse = cache(lambda r: b.torus[r].inverse(trunc=trunc))  # one per root
         q = _apply_torus(conn.model, b.torus, inverse, q, conn.planck, ONE)
-    for r, u in enumerate(b.steps, 1):
-        if not smat_is_exact_zero(u):
-            q = _apply_step(conn.model, u, r, q, conn.planck, ONE)
+    for r, (u, e) in enumerate(zip(b.steps, _step_exps(b)), 1):
+        if e is not None:
+            q = _apply_step(conn.model, u, e, r, q, conn.planck, ONE)
     return OperConnection(conn.model, conn.planck, q)
 
 
@@ -304,35 +334,55 @@ def _exp_minus_one(u: SeriesMatrix) -> SeriesMatrix:
     return _nilpotent_sum(u, lambda t: smat_mul(t, u), 1)
 
 
+def _step_exps(b: GaugeElement) -> List[Optional[SeriesMatrix]]:
+    """exp(u_r) - 1 for each step of b, None for an exact-zero step, formed once per element."""
+    if b._exps is None:
+        object.__setattr__(b, "_exps", [None if smat_is_exact_zero(u) else _exp_minus_one(u)
+                                        for u in b.steps])
+    return b._exps
+
+
+def _carrying(b: GaugeElement, exps: List[Optional[SeriesMatrix]]) -> GaugeElement:
+    """b with exp(u_r) - 1 of its steps already formed."""
+    object.__setattr__(b, "_exps", exps)
+    return b
+
+
 def _group_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    """(1 + a)(1 + b) - 1 = a + b + ab, so no product meets the unit diagonal."""
-    return smat_add(smat_add(a, b), smat_mul(a, b))
+    """(1 + a)(1 + b) - 1 = a + (1 + a) b: one product, each entry one series, and one sum."""
+    return smat_add(a, smat_mul(_plus_one(a), b))
 
 
-def _unipotent_part(model: LieModel, steps: Sequence[SeriesMatrix]) -> SeriesMatrix:
-    """exp(u_1) exp(u_2) ... - 1 for the steps in the order given."""
-    a = smat_zero(model.N)
-    for u in steps:
-        if not smat_is_exact_zero(u):
-            a = _group_mul(a, _exp_minus_one(u))
-    return a
+def _unipotent_part(model: LieModel, exps: Sequence[Optional[SeriesMatrix]]) -> SeriesMatrix:
+    """exp(u_1) exp(u_2) ... - 1 from the exp(u_r) - 1 in the order given (None for u_r = 0)."""
+    a = None
+    for e in exps:
+        if e is not None:
+            a = e if a is None else _group_mul(a, e)
+    return smat_zero(model.N) if a is None else a
 
 
-def _peel(model: LieModel, a: SeriesMatrix) -> List[SeriesMatrix]:
+def _peel(model: LieModel,
+          a: SeriesMatrix) -> Tuple[List[SeriesMatrix], List[Optional[SeriesMatrix]]]:
     """Peel the unipotent element 1 + a into homogeneous exponential steps.
 
     u_d is read from a at the degree-d pivots; input outside the group of
-    the model leaves a nonzero residual.
+    the model leaves a nonzero residual.  Returns the steps and their
+    exp(u_d) - 1, read by parity off the exp(-u_d) - 1 that peels u_d.
     """
-    steps = []
+    steps, exps = [], []
     for d in range(1, model.dmax + 1):
         u = smat_combine(model.coords(d, a), model.graded_basis(d))
         steps.append(u)
-        if not smat_is_exact_zero(u):
-            a = _group_mul(_exp_minus_one(smat_scale(-1, u)), a)
+        if smat_is_exact_zero(u):
+            exps.append(None)
+        else:
+            f = _exp_minus_one(smat_scale(-1, u))
+            exps.append(_odd_negated(model, f, d))
+            a = _group_mul(f, a)
     if not smat_is_zero(a):
         raise PreconditionError("matrix is not in the unipotent group of the model")
-    return steps
+    return steps, exps
 
 
 def gauge_compose(b1: GaugeElement, b2: GaugeElement) -> GaugeElement:
@@ -349,23 +399,27 @@ def gauge_compose(b1: GaugeElement, b2: GaugeElement) -> GaugeElement:
             torus[r] = c
     # t1 W1 t2 W2 = (t1 t2) (Ad(t2^{-1}) W1) W2, and Ad(t^{-1}) scales a root
     # position by the inverse root value; each W is carried as W - 1.
-    a1 = _unipotent_part(model, b1.steps)
+    a1 = _unipotent_part(model, _step_exps(b1))
     if b2.torus:
         a1 = _scale_positions(model, b2.torus, a1, cache(lambda r: b2.torus[r].inverse()))
-    a = _group_mul(a1, _unipotent_part(model, b2.steps))
-    return GaugeElement(model, torus, _peel(model, a))
+    steps, exps = _peel(model, _group_mul(a1, _unipotent_part(model, _step_exps(b2))))
+    return _carrying(GaugeElement(model, torus, steps), exps)
 
 
 def gauge_inverse(b: GaugeElement, trunc: Optional[int] = None) -> GaugeElement:
     b.validate()
     model = b.model
     torus = {r: c.inverse(trunc=trunc) for r, c in b.torus.items()}
-    # (exp(u_1) ... exp(u_n))^{-1} = exp(-u_n) ... exp(-u_1)
-    inv = _unipotent_part(model, [smat_scale(-1, u) for u in reversed(b.steps)])
+    # (exp(u_1) ... exp(u_n))^{-1} = exp(-u_n) ... exp(-u_1), each exp(-u_r) - 1
+    # read by parity off exp(u_r) - 1
+    exps = [None if e is None else _odd_negated(model, e, r)
+            for r, e in enumerate(_step_exps(b), 1)]
+    inv = _unipotent_part(model, exps[::-1])
     if b.torus:
         # Ad(t) = Ad((t^-1)^-1): the inverted torus acts, and b.torus is its inverse
         inv = _scale_positions(model, torus, inv, b.torus.__getitem__)
-    return GaugeElement(model, torus, _peel(model, inv))
+    steps, exps = _peel(model, inv)
+    return _carrying(GaugeElement(model, torus, steps), exps)
 
 
 # -- normalization -----------------------------------------------------------------
@@ -407,6 +461,7 @@ def normalize(conn: OperConnection, trunc: Optional[int] = None,
     if torus:
         q = _apply_torus(model, torus, inverses.__getitem__, q, conn.planck, f)
     steps: List[SeriesMatrix] = []
+    exps: List[Optional[SeriesMatrix]] = []
     vout: List[LaurentSeries] = []
     for r in range(1, model.dmax + 2):
         z, v = model.kostant_split(r - 1, q)
@@ -414,11 +469,13 @@ def normalize(conn: OperConnection, trunc: Optional[int] = None,
         if r <= model.dmax:
             u = smat_scale(-1, z)
             steps.append(u)
-            if not smat_is_exact_zero(u):
-                q = _apply_step(model, u, r, q, conn.planck, f)
+            exps.append(None if smat_is_exact_zero(u) else _exp_minus_one(u))
+            if exps[-1] is not None:
+                q = _apply_step(model, u, exps[-1], r, q, conn.planck, f)
         elif not smat_is_zero(z):
             raise AssertionError("defect left above the top exponent")
-    return GaugeElement(model, torus, steps), CanonicalForm.of(model, conn.planck, vout)
+    return (_carrying(GaugeElement(model, torus, steps), exps),
+            CanonicalForm.of(model, conn.planck, vout))
 
 
 def normalize_singular(f: LaurentSeries, conn: OperConnection,
@@ -465,7 +522,7 @@ def desingularize(f: LaurentSeries, cf: CanonicalForm,
     out = _apply_torus(model, torus, lambda r: finv, smat_scale(finv, cf.matrix()), h, ONE)
     u1 = smat_combine([f.derivative() * finv * Fraction(h, 2)], [model.x])
     if not smat_is_exact_zero(u1):
-        out = _apply_step(model, u1, 1, out, h, ONE)
+        out = _apply_step(model, u1, _exp_minus_one(u1), 1, out, h, ONE)
     if not all(
         s.agrees(LaurentSeries.constant(k))
         for s, k in zip(model.subdiagonal_coords(out), model.y_coeffs)

@@ -4,7 +4,9 @@ A subclass lists its two or more fields in ``__slots__`` and stores them
 with ``object.__setattr__`` in ``__init__``.  Equality (same class, equal
 field tuples), hashing (of the field tuple) and ``Name(field=value, ...)``
 reprs follow the field order, as a frozen dataclass would give them, without
-loading ``dataclasses`` into every process.
+loading ``dataclasses`` into every process.  A slot whose name starts with
+``_`` is a cache of something the fields determine, not a field: it stays
+out of equality, hashing and the repr.
 """
 
 from operator import attrgetter
@@ -15,8 +17,9 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
         # the field tuple of an instance; attrgetter binds no self, so call _key(self)
-        cls._key = attrgetter(*cls.__slots__)
+        cls._key = attrgetter(*cls._fields)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -30,5 +33,5 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        body = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._key(self)))
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key(self)))
         return f"{type(self).__qualname__}({body})"

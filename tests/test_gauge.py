@@ -288,6 +288,74 @@ class TestTorusInverses:
                 assert c.inverse(trunc=trunc) == a * (1 / k), (a, k)
 
 
+def exp_calls(fn):
+    """fn() and the number of _exp_minus_one calls it made."""
+    real, calls = gauge_module._exp_minus_one, []
+
+    def counted(u):
+        calls.append(u)
+        return real(u)
+
+    with mock.patch.object(gauge_module, "_exp_minus_one", counted):
+        return fn(), len(calls)
+
+
+def nonzero_steps(g):
+    return sum(not smat_is_exact_zero(u) for u in g.steps)
+
+
+class TestCarriedExponentials:
+    """A gauge element carries exp(u_r) - 1 of its steps: each element a
+    job builds exponentiates each of its steps at most once, and the carried
+    exponentials are those of the steps, however the element was made."""
+
+    @pytest.mark.parametrize("family,rank,planck", [
+        ("A", 2, F(0)), ("B", 2, F(0)), ("C", 3, F(1, 2)), ("D", 4, F(1))])
+    def test_one_exponential_per_step_of_each_element(self, family, rank, planck):
+        # the criterion-03 job: normalize, gauge_apply, normalize, gauge_compose,
+        # and at h = 0 also gauge_inverse and its composite
+        m = model(family, rank)
+        rng = random.Random(1)
+        conn, b = rnd_oper(rng, m, planck, 8), rnd_gauge(rng, m, 8)
+
+        def job():
+            g1, _ = normalize(conn)
+            g2, _ = normalize(gauge_apply(conn, b))
+            built = [b, g1, g2, gauge_compose(b, g2)]
+            if planck == 0:
+                binv = gauge_inverse(b)
+                built += [binv, gauge_compose(binv, g1)]
+            return built
+
+        built, calls = exp_calls(job)
+        assert calls <= sum(map(nonzero_steps, built))
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+    def test_carried_exponentials_are_those_of_the_steps(self, family, rank):
+        m = model(family, rank)
+        rng = random.Random(2)
+        conn, b = rnd_oper(rng, m, F(1)), rnd_gauge(rng, m)
+        g1, _ = normalize(conn)
+        g2, _ = normalize(gauge_apply(conn, b))
+        for g in (g1, g2, gauge_compose(b, g2), gauge_inverse(b), gauge_inverse(g1)):
+            assert g._exps is not None
+            want = [None if smat_is_exact_zero(u) else _mkey(_exp_minus_one(u)) for u in g.steps]
+            assert [None if e is None else _mkey(e) for e in g._exps] == want
+
+    def test_cache_is_not_a_field(self):
+        m = model("B", 2)
+        conn, b = rnd_oper(random.Random(3), m, F(1)), rnd_gauge(random.Random(4), m)
+        twin = rnd_gauge(random.Random(4), m)
+        text = repr(b)
+        gauge_apply(conn, b)  # forms b's exponentials on first use
+        assert b._exps is not None and twin._exps is None
+        assert b == twin and repr(b) == repr(twin) == text
+        g, _ = normalize(conn)
+        bare = GaugeElement(m, g.torus, g.steps)
+        assert g._exps is not None and bare._exps is None
+        assert g == bare and repr(g) == repr(bare)
+
+
 class TestDesingularizeInverse:
     """desingularize inverts f once and reads every c_alpha^-1 as that inverse."""
 
@@ -808,9 +876,19 @@ def commutator_exp_neg_ad(m, u, q):
 
 
 def commutator_steps():
-    """Run every gauge step of gauge_apply and normalize as the commutator series."""
-    return mock.patch.object(gauge_module, "_exp_neg_ad",
-                             lambda m, u, r, q: commutator_exp_neg_ad(m, u, q))
+    """Run every gauge step of gauge_apply and normalize as the commutator series.
+
+    The conjugation is handed e^u - 1, not u, so each step swaps it for the
+    series in u that the step is applying.
+    """
+    apply_step = gauge_module._apply_step
+
+    def step(m, u, e, r, q, planck, deriv):
+        with mock.patch.object(gauge_module, "_exp_neg_ad",
+                               lambda m, e, r, q: commutator_exp_neg_ad(m, u, q)):
+            return apply_step(m, u, e, r, q, planck, deriv)
+
+    return mock.patch.object(gauge_module, "_apply_step", step)
 
 
 def _mkey(a):
@@ -880,7 +958,8 @@ class TestConjugatedSteps:
         for d in range(-m.dmax, m.dmax + 1):
             q = smat_add(q, oracle_part(data.draw, m, d))
         q = with_multiple(data.draw, q, u)
-        assert _mkey(_exp_neg_ad(m, u, r, q)) == _mkey(commutator_exp_neg_ad(m, u, q))
+        got = _exp_neg_ad(m, _exp_minus_one(u), r, q)
+        assert _mkey(got) == _mkey(commutator_exp_neg_ad(m, u, q))
 
     @ORACLE
     @given(data=st.data())
@@ -1009,3 +1088,41 @@ def pinned_outputs(family, rank):
 @pytest.mark.parametrize("family,rank", PINNED_MODELS)
 def test_gauge_outputs_are_pinned(family, rank):
     assert pinned_outputs(family, rank) == PINNED_DIGESTS[(family, rank)]
+
+
+# digests recorded before gauge elements carried the exponentials of their
+# steps: the outputs that read them back (an inverse acting, a composite
+# composed again, the inverse of a normal-form gauge) are pinned bit for bit,
+# and steps given as rows of tuples still work
+REUSE_DIGESTS = {
+    ("A", 2, "lists"): "a358ee4d1f42e720",
+    ("B", 2, "lists"): "23dad8624e8b8fde",
+    ("B", 2, "tuples"): "23dad8624e8b8fde",
+    ("C", 3, "lists"): "2580dd4b2ec645d5",
+    ("D", 4, "lists"): "52173f2805c758fd",
+}
+
+
+def reuse_outputs(family, rank, rows):
+    """(val, nums, den, trunc) of the gauge outputs that reuse a step's exponential."""
+    m = model(family, rank)
+    rng = random.Random(f"reuse:{family}{rank}")
+    out = []
+    for planck in (F(1), F(0)):
+        conn = rnd_oper(rng, m, planck, PINNED_TRUNC)
+        b = rnd_gauge(rng, m, PINNED_TRUNC)
+        if rows == "tuples":
+            b = GaugeElement(m, b.torus, [tuple(map(tuple, u)) for u in b.steps])
+        g1, _ = normalize(conn)
+        g2, _ = normalize(gauge_apply(conn, b))
+        out.append((
+            tuple(tuple(_key(x) for x in row) for row in gauge_apply(conn, gauge_inverse(b)).q),
+            _gauge_key(gauge_compose(gauge_compose(b, g2), b)),
+            _gauge_key(gauge_inverse(g1, trunc=PINNED_TRUNC)),
+        ))
+    return hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family,rank,rows", sorted(REUSE_DIGESTS))
+def test_reused_exponentials_are_pinned(family, rank, rows):
+    assert reuse_outputs(family, rank, rows) == REUSE_DIGESTS[(family, rank, rows)]

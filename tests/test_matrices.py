@@ -12,7 +12,7 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 from opercalc.matrices import smat_add, smat_comm, smat_mul, smat_scale, smat_sub
-from opercalc.series import LaurentSeries
+from opercalc.series import LaurentSeries, dot, dots, is_exact_zero
 
 ONE = LaurentSeries.one()
 ZERO = LaurentSeries.zero()
@@ -140,3 +140,59 @@ class TestSmatMulOracle:
                 want = reference_entry([(a[i][t], b[t][j]) for t in range(k)])
                 assert (x.val, x.nums, x.den, x.trunc) == want
 
+
+def wide_matrix(rng, n, m):
+    """kernel_matrix entries at magnitudes from one digit to 40, so the entries
+    of one product need slot widths from 1 byte to past 8."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.35:
+            return ZERO
+        if kind < 0.45:
+            return LaurentSeries.zero(rng.randint(-3, 9))
+        val = rng.randint(-3, 3)
+        top = 10 ** rng.choice([1, 2, 5, 9, 18, 40])
+        size = 1 if kind < 0.6 else rng.randint(2, 14)
+        cs = [F(rng.randint(-top, top) or 1, rng.choice([1, 2, 3, 5, 7, 12, 35])) for _ in range(size)]
+        return LaurentSeries(val, cs, None if rng.random() < 0.5 else val + rng.randint(0, 16))
+    return [[entry() for _ in range(m)] for _ in range(n)]
+
+
+def key(x):
+    return (x.val, x.nums, x.den, x.trunc)
+
+
+class TestOneSlotWidthPerProduct:
+    """smat_mul builds the entries of a product together, at the widest slot any
+    of them needs and with each operand packed once: entry for entry that is
+    what dot gives on the entry alone, or __mul__ for a lone term."""
+
+    def test_entries_match_dot_and_mul(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            n, k, m = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 5)
+            a, b = wide_matrix(rng, n, k), wide_matrix(rng, k, m)
+            out = smat_mul(a, b)
+            for i in range(n):
+                for j in range(m):
+                    terms = [(a[i][t], b[t][j]) for t in range(k)
+                             if not (is_exact_zero(a[i][t]) or is_exact_zero(b[t][j]))]
+                    if not terms:
+                        want = ZERO
+                    elif len(terms) == 1:
+                        want = terms[0][0] * terms[0][1]
+                    else:
+                        want = dot(terms)
+                    assert key(out[i][j]) == key(want)
+
+    def test_weighted_sums_match_dot(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            a = wide_matrix(rng, rng.randint(1, 6), 6)
+            sums = [[(x, y) for x, y in zip(row, reversed(row))
+                     if not (is_exact_zero(x) or is_exact_zero(y))] for row in a]
+            sums = [t for t in sums if t]
+            weights = [[F(rng.randint(1, 10**rng.choice([1, 30])) * rng.choice([1, -1]),
+                          rng.randint(1, 9)) for _ in t] for t in sums]
+            assert list(map(key, dots(sums, weights))) == \
+                [key(dot(t, w)) for t, w in zip(sums, weights)]

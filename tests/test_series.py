@@ -1,6 +1,7 @@
 """Series arithmetic: normalization, certified truncation orders, exactness."""
 
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opercalc.errors import InsufficientTruncationError, PreconditionError
-from opercalc.series import Density, LaurentSeries, _convolve, dot, fraction_root, unit_power
+from opercalc.series import (Density, LaurentSeries, _convolve, _slot_bytes, _unpack, dot,
+                             fraction_root, unit_power)
 
 Z = LaurentSeries.monomial(1, 1)
 
@@ -692,6 +694,18 @@ def dot_weight():
                      st.builds(F, kernel_int(), st.integers(1, 1 << 200)))
 
 
+def per_slot(c, kb, n):
+    """The first n signed kb-byte slots of c, read one at a time, each borrow carried up."""
+    k, out = 8 * kb, []
+    for _ in range(n):
+        x = c & ((1 << k) - 1)
+        if x >> (k - 1):
+            x -= 1 << k
+        out.append(x)
+        c = (c - x) >> k
+    return out
+
+
 class TestPackedKernels:
     @KERNEL
     @given(st.lists(kernel_int(), max_size=40), st.lists(kernel_int(), max_size=40), st.data())
@@ -711,6 +725,29 @@ class TestPackedKernels:
                 for cut in (0, n, 2 * n - 1, 2 * n + 2):
                     assert _convolve(a, b, cut) == schoolbook(a, b, cut)
         assert _convolve([], [5, 6], 3) == [0, 0, 0]
+
+    def test_unpack_matches_per_slot_reads(self):
+        # every width, the C-speed reads of 1, 2, 4 and 8 bytes and the slot-by-slot
+        # rest, with slots at the largest magnitude of either sign, and slots
+        # above n that the read must mask off
+        rng = random.Random(11)
+        for kb in range(1, 13):
+            top = (1 << (8 * kb - 1)) - 1
+            for n in range(1, 41):
+                slots = [rng.choice([top, -top, 0, 1, -1, rng.randint(-top, top)])
+                         for _ in range(n + rng.randint(0, 3))]
+                c = sum(x << (8 * kb * i) for i, x in enumerate(slots))
+                assert _unpack(c, kb, n) == per_slot(c, kb, n) == slots[:n]
+
+    def test_slot_widths_fit_and_round_up(self):
+        for bits in range(0, 160):
+            for bound in ((1 << bits) - 1, 1 << bits):
+                kb, least = _slot_bytes(bound), bound.bit_length() // 8 + 1
+                assert bound < 1 << (8 * kb - 1)
+                if sys.byteorder == "little" and least <= 8:
+                    assert kb == min(w for w in (1, 2, 4, 8) if w >= least)
+                else:
+                    assert kb == least
 
     @SETTINGS
     @given(st.lists(st.tuples(raw_series(), raw_series()), max_size=6))
