@@ -15,7 +15,7 @@ compose for its tracked range, transpose for the orders it keeps,
 pseudo_invert for the one coefficient of op . (partial inverse) that fixes
 the next term, and pairing for the orders of u . op^(-1) that reach D^(-1)
 and then for that coefficient alone.  Each coefficient is built as one
-product or one :func:`series.dot` over its Leibniz terms.
+product or one sum of products (``series._dot``) over its Leibniz terms.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .errors import InsufficientTruncationError, PreconditionError
 from .kernels import BiKernel
 from .record import Record
-from .series import Density, LaurentSeries, Rat, _fr, dot, half_integer, is_exact_zero
+from .series import Density, LaurentSeries, Rat, _dot, _fr, dot, half_integer, is_exact_zero
 
 ZERO = LaurentSeries.zero()
 _SIGNS = (LaurentSeries.one(), -LaurentSeries.one())  # (-1)^i by the parity of i
@@ -217,7 +217,7 @@ def _products(pairs: Sequence[Tuple[Tuple[int, LaurentSeries], Tuple[int, Lauren
     reaches D^k at kk = i + j - k >= 0; for i >= 0 the sum stops at kk = i and
     at planck 0 it stops at kk = 0.  Each derivative g^(kk) is built once and
     each binom(i, kk) h^kk f once per call, and every coefficient is one
-    product or one :func:`dot` over its terms.  Exact zeros take no part.
+    product or one ``_dot`` over its terms.  Exact zeros take no part.
     """
     derivs: Dict[int, List[LaurentSeries]] = {}  # keyed by id: pairs holds every g
     scaled: Dict[Tuple[int, int, int], LaurentSeries] = {}
@@ -243,7 +243,7 @@ def _products(pairs: Sequence[Tuple[Tuple[int, LaurentSeries], Tuple[int, Lauren
                 c = _gbinom(i, kk) * (1 if unit else h**kk)
                 fk = scaled[(id(f), i, kk)] = f if c == 1 else c * f
             terms.setdefault(i + j - kk, []).append((fk, gk))
-    return {k: t[0][0] * t[0][1] if len(t) == 1 else dot(t) for k, t in terms.items()}
+    return {k: t[0][0] * t[0][1] if len(t) == 1 else _dot(t) for k, t in terms.items()}
 
 
 def _pairs(a: Mapping[int, LaurentSeries], b: Mapping[int, LaurentSeries]):

@@ -6,12 +6,9 @@ matrices support elimination and inversion; series matrices only
 need the ring operations and evaluation against rational structure data.
 
 Series matrices skip exact-zero entries everywhere.  A product entry with
-one nonzero term is that one series product.  The entries with more are
-built by one :func:`opercalc.series.dots` per product: one slot width for
-the whole product, the widest any entry needs, so each nonzero operand
-entry is packed once however many terms it appears in, and each entry is
-one big-int sum read back into one series, with the certified order of the
-sum.
+one nonzero term is that one series product; an entry with more is one
+sum of products (``series._dot``): one big-int sum at the slot width that
+entry needs, read back into one series with the certified order of the sum.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .series import LaurentSeries, dots, is_exact_zero
+from .series import LaurentSeries, _dot, is_exact_zero
 
 FracMatrix = Tuple[Tuple[Fraction, ...], ...]
 SeriesMatrix = List[List[LaurentSeries]]
@@ -140,11 +137,10 @@ def smat_scale(c, a: SeriesMatrix) -> SeriesMatrix:
 
 
 def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    """a * b over the nonzero terms of each entry: one term is a product, and
-    the entries of more are built together by one :func:`opercalc.series.dots`."""
+    """a * b over the nonzero terms of each entry: one term is a product, more a sum of products."""
     rows_b = [[(j, y) for j, y in enumerate(row) if not is_exact_zero(y)] for row in b]
     zero = LaurentSeries.zero()
-    out, sums = [], []
+    out = []
     for row_a in a:
         terms = {}
         for x, row_b in zip(row_a, rows_b):
@@ -156,14 +152,8 @@ def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
                         terms[j] = [(x, y)]
         row = [zero] * len(b[0])
         for j, t in terms.items():
-            if len(t) == 1:
-                row[j] = t[0][0] * t[0][1]
-            else:
-                sums.append((row, j, t))
+            row[j] = t[0][0] * t[0][1] if len(t) == 1 else _dot(t)
         out.append(row)
-    if sums:
-        for (row, j, _), s in zip(sums, dots([t for _, _, t in sums])):
-            row[j] = s
     return out
 
 

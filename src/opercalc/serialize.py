@@ -275,7 +275,7 @@ def canonical_load(obj) -> CanonicalForm:
             "canonical coordinates were written against a different complement basis"
         )
     exps = obj.get("exponents")
-    if exps is not None and list(exps) != list(m.exponents):
+    if exps is not None and _list(exps, "exponents") != list(m.exponents):
         raise MalformedInputError(f"exponents of {m.name()} are {list(m.exponents)}")
     v = [density_load(d) for d in _list(obj.get("v"), "canonical coordinates")]
     if len(v) != m.rank:
@@ -369,6 +369,9 @@ def symbol_load(obj) -> PseudoSymbol:
     top = _int(obj.get("order", floor + len(coeffs) - 1), "symbol order")
     if top != floor + len(coeffs) - 1:
         raise MalformedInputError("symbol range disagrees with its coefficient list")
+    exact_below = obj.get("exact_below", False)
+    if not isinstance(exact_below, bool):  # "false" must not certify zeros below the floor
+        raise MalformedInputError(f"symbol exact_below must be true or false, got {exact_below!r}")
     return PseudoSymbol(
         top,
         floor,
@@ -376,7 +379,7 @@ def symbol_load(obj) -> PseudoSymbol:
         rat_parse(obj.get("tgt", top)),
         rat_parse(obj.get("planck", 1)),
         {floor + i: c for i, c in enumerate(coeffs)},
-        bool(obj.get("exact_below", False)),
+        exact_below,
     )
 
 
@@ -400,7 +403,7 @@ def detect_format(obj) -> str:
     obj = _dict(obj, "input")
     tag = obj.get("format")
     if tag is not None:
-        if tag not in _LOADERS:
+        if not isinstance(tag, str) or tag not in _LOADERS:
             raise MalformedInputError(f"unknown format tag {tag!r}")
         return tag
     if "mmin" in obj:

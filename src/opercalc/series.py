@@ -23,11 +23,11 @@ big-int product is read back, at C speed through a memoryview cast for
 slots of 1, 2, 4 and 8 bytes (3 rounds up to 4, 5-7 to 8).  A monomial
 factor only scales, and operands of fewer than four terms are convolved term
 by term.  A sum of products, :func:`dot`, brings its terms over one common
-denominator and packs those without a monomial factor into one integer, so
-an entry of a series-matrix product is built by one ``_series`` call, not by
-one per product and per partial sum; rational weights on its terms ride in
-the same denominator scales.  :func:`dots` builds many such sums at one slot
-width, packing each operand once: a whole series-matrix product.
+denominator and packs those without a monomial factor into one integer at
+the slot width that sum needs, so an entry of a series-matrix product or a
+symbol coefficient is built by one ``_series`` call, not by one per product
+and per partial sum; rational weights on its terms ride in the same
+denominator scales.
 
 Rational powers run J.C.P. Miller's recurrence fraction-free
 (:func:`unit_power`): the k-th coefficient of (1 + eps)^e, e = p/q, is kept
@@ -610,8 +610,8 @@ def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]],
     """sum w * x * y over the pairs, built as one series with the certified order of the sum.
 
     Exact-zero factors are skipped, and so is a term of zero weight, as
-    0 * (x * y) is exactly 0; the rest is :func:`dots` on one sum (weights
-    1 each when None).
+    0 * (x * y) is exactly 0; the rest is :func:`_dot` (weights 1 each when
+    None).
     """
     if weights is None:
         terms = [(x, y) for x, y in pairs if not (is_exact_zero(x) or is_exact_zero(y))]
@@ -627,82 +627,65 @@ def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]],
             return _ZERO
         x, y = terms[0]
         return x * y if ws is None else x * y * ws[0]
-    return dots([terms], None if ws is None else [ws])[0]
+    return _dot(terms, ws)
 
 
-def dots(sums: Sequence[Sequence[Tuple[LaurentSeries, LaurentSeries]]],
-         weights: Optional[Sequence[Sequence[Rat]]] = None) -> List[LaurentSeries]:
-    """sum w * x * y over the pairs of each sum, one series per sum, at one slot width.
+def _dot(terms: Sequence[Tuple[LaurentSeries, LaurentSeries]],
+         ws: Optional[Sequence[Rat]] = None) -> LaurentSeries:
+    """sum w * x * y over pairs with no exact-zero factor and no zero weight.
 
-    The pairs have no exact-zero factor and no zero weight.  Each sum is
-    brought over one common denominator, with the rational weights (1 each
-    when None) in the per-term scales.  A term with a monomial factor only
-    scales the numerators of its other factor into the output list; the
-    other products are packed (see :func:`_convolve`) at the widest slot any
-    sum needs, so each operand is packed once, and whole: a sum's slots at
-    and above its length are masked off when it is read back, and carries
-    only move upward.  Each sum is one integer of shifted big-int products.
+    The terms share one denominator, with the weights (1 each when None) in
+    its scales.  A term with a monomial factor only scales its other factor
+    into the output list; the rest are packed whole (see :func:`_convolve`)
+    at the slot width this sum needs, into one integer read back once: the
+    read masks off the slots at and above the sum's length, and carries only
+    move upward.
     """
-    plans, bound = [], 0
-    for terms, ws in zip(sums, repeat(None) if weights is None else weights):
-        dens = [x.den * y.den for x, y in terms]
-        if ws is None:
-            den = lcm(*dens)
-            scales = [den // d for d in dens]
+    dens = [x.den * y.den for x, y in terms]
+    if ws is None:
+        den = lcm(*dens)
+        scales = [den // d for d in dens]
+    else:
+        dens = [d * w.denominator for d, w in zip(dens, ws)]
+        den = lcm(*dens)
+        scales = [den // d * w.numerator for d, w in zip(dens, ws)]
+    t = lo = hi = None
+    for x, y in terms:
+        if x.trunc is not None:
+            t = _tmin(t, x.trunc + y.val)
+        if y.trunc is not None:
+            t = _tmin(t, y.trunc + x.val)
+        v = x.val + y.val
+        top = v + len(x.nums) + len(y.nums) - 1
+        lo = v if lo is None else min(lo, v)
+        hi = top if hi is None else max(hi, top)
+    if t is not None:
+        hi = min(hi, t)
+    n = max(0, hi - lo)
+    scaled, packed, bound = [], [], 0
+    for (x, y), s in zip(terms, scales):
+        off = x.val + y.val - lo
+        if off >= n or not (x.nums and y.nums):
+            continue  # a truncated zero adds nothing but its order, counted in t
+        if len(x.nums) == 1 or len(y.nums) == 1:
+            (c,), ys = (x.nums, y.nums) if len(x.nums) == 1 else (y.nums, x.nums)
+            scaled.append((c * s, ys, off))
         else:
-            dens = [d * w.denominator for d, w in zip(dens, ws)]
-            den = lcm(*dens)
-            scales = [den // d * w.numerator for d, w in zip(dens, ws)]
-        t = lo = hi = None
-        for x, y in terms:
-            if x.trunc is not None:
-                t = _tmin(t, x.trunc + y.val)
-            if y.trunc is not None:
-                t = _tmin(t, y.trunc + x.val)
-            v = x.val + y.val
-            top = v + len(x.nums) + len(y.nums) - 1
-            lo = v if lo is None else min(lo, v)
-            hi = top if hi is None else max(hi, top)
-        if t is not None:
-            hi = min(hi, t)
-        n = max(0, hi - lo)
-        scaled, packed, b = [], [], 0
-        for (x, y), s in zip(terms, scales):
-            off = x.val + y.val - lo
-            if off >= n or not (x.nums and y.nums):
-                continue  # a truncated zero adds nothing but its order, counted in t
-            if len(x.nums) == 1 or len(y.nums) == 1:
-                (c,), ys = (x.nums, y.nums) if len(x.nums) == 1 else (y.nums, x.nums)
-                scaled.append((c * s, ys, off))
-            else:
-                packed.append((x.nums, y.nums, s, off))
-                b += abs(s) * min(len(x.nums), len(y.nums)) * _maxabs(x.nums) * _maxabs(y.nums)
-        if b > bound:
-            bound = b
-        plans.append((lo, n, den, t, scaled, packed))
-    kb = _slot_bytes(bound) if bound else 0  # bound 0: nothing to pack
-    k = 8 * kb
-    packs = {}  # id of an operand's numerators -> them at 2^k; the operands outlive the call
-    out = []
-    for lo, n, den, t, scaled, packed in plans:
-        if packed:
-            acc = 0
-            for xs, ys, s, off in packed:
-                px = packs.get(id(xs))
-                if px is None:
-                    px = packs[id(xs)] = _pack(xs, k)
-                py = packs.get(id(ys))
-                if py is None:
-                    py = packs[id(ys)] = _pack(ys, k)
-                acc += (px * py * s) << (k * off)
-            nums = _unpack(acc, kb, n)
-        else:
-            nums = [0] * n
-        for c, ys, off in scaled:
-            end = min(off + len(ys), n)  # map stops at the shorter slice of nums
-            nums[off:end] = map(add, nums[off:end], map(mul, ys, repeat(c)))
-        out.append(_series(lo, nums, den, t))
-    return out
+            packed.append((x.nums, y.nums, s, off))
+            bound += abs(s) * min(len(x.nums), len(y.nums)) * _maxabs(x.nums) * _maxabs(y.nums)
+    if packed:
+        kb = _slot_bytes(bound)
+        k = 8 * kb
+        acc = 0
+        for xs, ys, s, off in packed:
+            acc += (_pack(xs, k) * _pack(ys, k) * s) << (k * off)
+        nums = _unpack(acc, kb, n)
+    else:
+        nums = [0] * n
+    for c, ys, off in scaled:
+        end = min(off + len(ys), n)  # map stops at the shorter slice of nums
+        nums[off:end] = map(add, nums[off:end], map(mul, ys, repeat(c)))
+    return _series(lo, nums, den, t)
 
 
 def _series(val: int, nums: Sequence[int], den: int, trunc: Optional[int]) -> LaurentSeries:

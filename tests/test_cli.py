@@ -425,6 +425,23 @@ class TestDiagnostics:
         code, _, err = run(["normalize", src], capsys)
         assert code == 3 and "kind=InsufficientTruncationError" in err
 
+    @pytest.mark.parametrize("command", ["normalize", "classify"])
+    def test_non_string_format_tag_exits_1(self, tmp_path, capsys, command):
+        conn = OperConnection(model("A", 1), F(1), ((ZERO, U), (ONE, ZERO)))
+        src = write(tmp_path / "c.json", dict(ser.connection_obj(conn), format=[]))
+        code, out, err = run([command, src], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("operctl: code=1 kind=MalformedInputError ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["classify", "hitchin"])
+    def test_non_list_exponents_exit_1(self, tmp_path, capsys, command):
+        cf = CanonicalForm(model("A", 1), F(0), (Density(U, 2),))
+        src = write(tmp_path / "cf.json", dict(ser.canonical_obj(cf), exponents=7))
+        code, out, err = run([command, src], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("operctl: code=1 kind=MalformedInputError ") and err.count("\n") == 1
+        assert "exponents must be an array" in err
+
     def test_fingerprint_mismatch_exits_1(self, tmp_path, capsys):
         cf = CanonicalForm(model("A", 1), F(0), (Density(U, 2),))
         obj = ser.canonical_obj(cf)

@@ -14,7 +14,7 @@ import pytest
 from opercalc import __version__
 from opercalc import serialize as ser
 from opercalc.diffops import DiffOp, kernel_from_diffop, pseudo_invert
-from opercalc.errors import MalformedInputError
+from opercalc.errors import InsufficientTruncationError, MalformedInputError
 from opercalc.dictionary import oper_from_diffop
 from opercalc.gauge import (
     CanonicalForm,
@@ -195,6 +195,11 @@ class TestDetection:
         with pytest.raises(MalformedInputError, match="unknown format tag"):
             ser.detect_format({"format": "spinor"})
 
+    @pytest.mark.parametrize("tag", [[], {}])
+    def test_non_string_tag(self, tag):
+        with pytest.raises(MalformedInputError, match="unknown format tag"):
+            ser.detect_format({"format": tag})
+
 
 class TestValidation:
     def doc(self, obj_fn, *args):
@@ -264,6 +269,19 @@ class TestValidation:
         del base["algebra"]
         with pytest.raises(MalformedInputError, match="does not name its algebra"):
             ser.gauge_load(base)
+
+    def test_symbol_exact_below_is_a_boolean(self):
+        base = self.doc(ser.symbol_obj, pseudo_invert(DiffOp.from_map({1: ONE}, 0, 1, 1), 2))
+        floor = base["floor"]
+        assert base["exact_below"] is False
+        with pytest.raises(InsufficientTruncationError):
+            ser.symbol_load(base).coeff(floor - 1)
+        assert ser.symbol_load(dict(base, exact_below=True)).coeff(floor - 1) == ZERO
+        # a string, number or null would load as a truthy or falsy flag and
+        # claim exact zeros below the floor that the file does not certify
+        for bad in ("false", "true", 0, 1, None, []):
+            with pytest.raises(MalformedInputError, match="exact_below"):
+                ser.symbol_load(dict(base, exact_below=bad))
 
     def test_symbol_range_consistency(self):
         base = self.doc(ser.symbol_obj, pseudo_invert(DiffOp.from_map({1: ONE}, 0, 1, 1), 2))

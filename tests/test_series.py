@@ -689,8 +689,10 @@ def dot_factor(draw):
 
 
 def dot_weight():
-    """0, small signed rationals, and wide ints and fractions that widen the packed slots."""
+    """0, small signed rationals, and wide ints and fractions that widen the packed slots:
+    up to 10^30 over a one-digit denominator, and up to 300 bits over up to 200 bits."""
     return st.one_of(st.just(0), st.integers(-9, 9), RATS, kernel_int(),
+                     st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 9)),
                      st.builds(F, kernel_int(), st.integers(1, 1 << 200)))
 
 
@@ -769,6 +771,12 @@ class TestPackedKernels:
     # the second term certifies, and must be cut there, not written past it
     @example([((1, [F(2, 3)], None), (0, [F(1), F(2), F(3), F(4), F(5)], None), 1),
               ((0, [F(-1)], 3), (1, [F(7)], None), F(1, 2))])
+    # 40-digit factors over mixed denominators at weights near 10^30 over one
+    # digit: the packed slots run past 8 bytes, and a monomial term rides along
+    @example([((0, [F(10**40 - 1, 7), F(-10**39), F(3, 12)], None),
+               (1, [F(3 - 10**40, 35), F(10**38, 2)], 6), F(10**30 - 7, 9)),
+              ((-1, [F(10**40, 3)] * 5, None), (2, [F(-5, 12), F(10**40 - 1)], None), F(-10**30, 7)),
+              ((0, [F(10**40 + 1, 5)], 4), (0, [F(1), F(-2), F(10**35, 3)], None), F(10**30, 1))])
     def test_weighted_dot_matches_scaled_sum(self, cases):
         # sum w * (x * y) built left to right by __mul__ and __add__
         pairs, weights, ref = [], [], LaurentSeries.zero()
