@@ -38,6 +38,8 @@ if TYPE_CHECKING:
     from .diffops import DiffOp
     from .series import LaurentSeries
 
+KINDS = ("gl", "sl", "sp", "so_odd")  # the operator kinds the dictionary builds
+
 # Library modules are imported inside each command, after its input is read
 # and checked, so that a process loads only what its command uses and a bad
 # file fails before any of the arithmetic is loaded.
@@ -187,10 +189,13 @@ def cmd_convert(args) -> int:
 def cmd_transpose(args) -> int:
     obj = _read(args.input)
     op = ser.diffop_load(obj)
+    kind = obj.get("kind")
+    if kind is not None and kind not in KINDS:
+        raise MalformedInputError(f"unknown kind {kind!r}")
     from .diffops import transpose
 
     p = _prefix(args, args.input)
-    _write(p + ".transpose.json", ser.diffop_obj(transpose(op), kind=obj.get("kind")))
+    _write(p + ".transpose.json", ser.diffop_obj(transpose(op), kind=kind))
     return 0
 
 
@@ -450,7 +455,7 @@ def build_parser() -> _Parser:
     p = cmd("convert", cmd_convert,
             "scalar operator <-> connection, both directions by file shape")
     p.add_argument("input")
-    p.add_argument("--kind", choices=["gl", "sl", "sp", "so_odd"],
+    p.add_argument("--kind", choices=KINDS,
                    help="target kind (required toward connections)")
     trunc_flag(p), out_flag(p)
 

@@ -16,6 +16,11 @@ pseudo_invert for the one coefficient of op . (partial inverse) that fixes
 the next term, and pairing for the orders of u . op^(-1) that reach D^(-1)
 and then for that coefficient alone.  Each coefficient is built as one
 product or one sum of products (``series._dot``) over its Leibniz terms.
+
+An operator inverts once per truncation: its private ``_inverse`` slot holds,
+for the last truncation asked, the inverse of its leading coefficient and the
+inverse symbol's terms built so far, and pseudo_invert (hence pairing and the
+flag pairings and Gram matrices of the dictionary) cuts or extends them.
 """
 
 from __future__ import annotations
@@ -39,9 +44,13 @@ def _gbinom(i: int, k: int) -> int:
 
 
 class DiffOp(Record):
-    """sum_{i=0}^{order} coeffs[i] * D^i from weight-src to weight-tgt densities."""
+    """sum_{i=0}^{order} coeffs[i] * D^i from weight-src to weight-tgt densities.
 
-    __slots__ = ("order", "src", "tgt", "planck", "coeffs")
+    The private `_inverse` is a cache of :func:`pseudo_invert`'s work, None
+    until its first call.
+    """
+
+    __slots__ = ("order", "src", "tgt", "planck", "coeffs", "_inverse")
 
     def __init__(self, order: int, src: Rat, tgt: Rat, planck: Rat, coeffs):
         coeffs = tuple(coeffs)
@@ -54,6 +63,7 @@ class DiffOp(Record):
         object.__setattr__(self, "tgt", half_integer(tgt))
         object.__setattr__(self, "planck", _fr(planck))
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_inverse", None)
 
     @classmethod
     def from_map(cls, coeffs: Mapping[int, LaurentSeries], src: Rat, tgt: Rat,
@@ -324,27 +334,41 @@ def symbols(op: DiffOp) -> Tuple[Density, DiffOp]:
 
 
 def pseudo_invert(op: DiffOp, depth: int, trunc: Optional[int] = None) -> PseudoSymbol:
-    """Two-sided inverse symbol with top -order and floor -order - depth."""
+    """Two-sided inverse symbol with top -order and floor -order - depth.
+
+    The term q_{-n-j} does not depend on depth, so op's `_inverse` slot keeps
+    (trunc, lead^(-1), {-n-j: q_{-n-j}}, d) for the last trunc asked, with
+    every term down to -n-d built.  A call at depth <= d cuts those terms, a
+    deeper one resumes at d + 1, and one at another trunc starts over and
+    replaces the slot.  A call that raises stores nothing.
+    """
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     n = op.order
-    lead = op.coeffs[-1]
-    if not lead.is_unit():
-        raise PreconditionError("leading coefficient is not an invertible series")
-    inv_lead = lead.inverse(trunc=trunc)
-    coeffs: Dict[int, LaurentSeries] = {}
     h = op.planck
-    one = LaurentSeries.one()
-    terms = dict(enumerate(op.coeffs))
-    for j in range(depth + 1):
-        # op . (partial sum) matches the target above -j; the term q_{-n-j}
-        # enters the coefficient of D^{-j} only through lead * q_{-n-j}, so
-        # only that coefficient of op . (partial sum) is built
-        cur = _products(_pairs(terms, coeffs), h, -j, -j).get(-j, ZERO)
-        diff = (one if j == 0 else ZERO) - cur
-        if not is_exact_zero(diff):
-            coeffs[-n - j] = diff * inv_lead
-    return PseudoSymbol(-n, -n - depth, op.tgt, op.src, h, coeffs, False)
+    kept = op._inverse
+    if kept is None or kept[0] != trunc:
+        lead = op.coeffs[-1]
+        if not lead.is_unit():
+            raise PreconditionError("leading coefficient is not an invertible series")
+        kept = (trunc, lead.inverse(trunc=trunc), {}, -1)
+    _, inv_lead, coeffs, done = kept
+    if depth > done:
+        coeffs = dict(coeffs)
+        one = LaurentSeries.one()
+        terms = dict(enumerate(op.coeffs))
+        for j in range(done + 1, depth + 1):
+            # op . (partial sum) matches the target above -j; the term q_{-n-j}
+            # enters the coefficient of D^{-j} only through lead * q_{-n-j}, so
+            # only that coefficient of op . (partial sum) is built
+            cur = _products(_pairs(terms, coeffs), h, -j, -j).get(-j, ZERO)
+            diff = (one if j == 0 else ZERO) - cur
+            if not is_exact_zero(diff):
+                coeffs[-n - j] = diff * inv_lead
+        object.__setattr__(op, "_inverse", (trunc, inv_lead, coeffs, depth))
+    floor = -n - depth
+    return PseudoSymbol(-n, floor, op.tgt, op.src, h,
+                        {i: c for i, c in coeffs.items() if i >= floor}, False)
 
 
 def res(p: Operator) -> Density:

@@ -61,8 +61,8 @@ from .series import Density, LaurentSeries, dot, is_exact_zero
 
 __all__ = [
     "CanonicalForm", "GaugeElement", "OperConnection", "act_quadratic_differential",
-    "classify_singularity", "desingularize", "desingularize_componentwise", "embed_sl2",
-    "gauge_apply", "gauge_compose", "gauge_inverse", "hitchin_map", "identity_gauge",
+    "classify_singularity", "desingularize", "embed_sl2", "gauge_apply", "gauge_compose",
+    "gauge_inverse", "hitchin_map", "identity_gauge",
     "moduli_dimension",  # defined in lie, which needs no gauge machinery for it
     "normalize", "normalize_singular",
 ]
@@ -535,23 +535,6 @@ def desingularize(f: LaurentSeries, cf: CanonicalForm,
             raise IdentityCheckError(f"desingularized connection has a defect in degree {d}")
         vout.extend(v)
     return CanonicalForm.of(model, h, vout)
-
-
-def desingularize_componentwise(f: LaurentSeries, cf: CanonicalForm,
-                                trunc: Optional[int] = None) -> CanonicalForm:
-    """Closed-form version: v_d scales by f^{-d-1}, the x-slot gets the
-    h^2 (f''f/2 - f'^2/4) correction.  Cross-check for :func:`desingularize`."""
-    model = cf.model
-    if model.kostant_data(1)["vdim"] != 1:
-        raise PreconditionError("componentwise form needs a one-dimensional degree-1 slot")
-    h = cf.planck
-    corr = (f.derivative().derivative() * f * Fraction(1, 2)
-            - f.derivative() * f.derivative() * Fraction(1, 4)) * (h * h)
-    out = []
-    for d, dens in zip(model.exponents, cf.v):
-        s = dens.series + corr if d == 1 else dens.series
-        out.append(s * f.power_rational(-d - 1, trunc=trunc))
-    return CanonicalForm.of(model, h, out)
 
 
 def classify_singularity(cf: CanonicalForm) -> Tuple[int, List[Tuple[int, int]]]:

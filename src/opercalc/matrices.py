@@ -113,11 +113,6 @@ def smat_zero(n: int, m: Optional[int] = None) -> SeriesMatrix:
     return [[LaurentSeries.zero() for _ in range(m)] for _ in range(n)]
 
 
-def smat_identity(n: int) -> SeriesMatrix:
-    return [[LaurentSeries.one() if i == j else LaurentSeries.zero() for j in range(n)]
-            for i in range(n)]
-
-
 def smat_is_exact_zero(a: SeriesMatrix) -> bool:
     return all(is_exact_zero(x) for row in a for x in row)
 

@@ -18,11 +18,11 @@ from opercalc.gauge import (
     CanonicalForm,
     GaugeElement,
     OperConnection,
-    desingularize_componentwise,
     gauge_apply,
 )
 from opercalc.lie import model
 from opercalc.series import Density, LaurentSeries
+from oracles import desingularize_componentwise
 
 Z = LaurentSeries.monomial(1, 1)
 ONE = LaurentSeries.one()
@@ -239,6 +239,15 @@ class TestPairCommands:
         assert run(["transpose", src], capsys)[0] == 0
         got = ser.diffop_load(json.loads((tmp_path / "op.transpose.json").read_text()))
         assert got.agrees(hill_op())  # self-adjoint
+
+    @pytest.mark.parametrize("kind", [7, []])
+    def test_transpose_rejects_unknown_kind(self, tmp_path, capsys, kind):
+        src = write(tmp_path / "op.json", dict(ser.diffop_obj(hill_op()), kind=kind))
+        code, _, err = run(["transpose", src], capsys)
+        assert code == 1
+        assert err.startswith("operctl: code=1 ") and err.count("\n") == 1
+        assert f"unknown kind {kind!r}" in err
+        assert not (tmp_path / "op.transpose.json").exists()
 
 
 def dims_raising(exc, monkeypatch, capsys):

@@ -32,8 +32,10 @@ from opercalc.diffops import (
     transpose,
     transpose_symbol,
 )
+from opercalc.dictionary import flag_gram, verify_flag_pairing
 from opercalc.errors import InsufficientTruncationError, PreconditionError
 from opercalc.series import Density, LaurentSeries, is_exact_zero
+from oracles import inverse_calls
 
 Z = LaurentSeries.monomial(1, 1)
 ONE = LaurentSeries.one()
@@ -685,6 +687,53 @@ class TestLeibnizOracle:
         for x, y in cases:
             assert outcome(pairing, x, y, L, depth=depth, trunc=8) == \
                 outcome(ref_pairing, x, y, L, depth, 8)
+
+
+class TestInverseCache:
+    """An operator keeps its inverse symbol for the last truncation asked; cut,
+    extended or started over, every call is == to the same call on a fresh operator."""
+
+    @ORACLE
+    @given(st_case())
+    def test_interleaved_calls_match_a_fresh_operator(self, case):
+        L, _, u, v, _, _ = case
+        a, h = L.src, L.planck
+        flag = [DiffOp.from_map({i: ONE}, a, a + i, h) for i in range(L.order)]
+
+        def fresh():
+            return DiffOp(L.order, L.src, L.tgt, L.planck, L.coeffs)
+
+        # deeper, shallower, another trunc (None raises on an exact non-monomial
+        # lead), a raising depth, then resumed at the trunc the slot holds
+        for depth, trunc in ((4, 12), (0, None), (2, 8), (-1, 8), (3, 8), (6, 12), (1, 12)):
+            assert outcome(pseudo_invert, L, depth, trunc=trunc) == \
+                outcome(pseudo_invert, fresh(), depth, trunc=trunc)
+        for x, y in ((u, v), (flag[0], flag[-1]), (flag[-1], flag[0])):
+            assert outcome(pairing, x, y, L, trunc=12) == outcome(pairing, x, y, fresh(), trunc=12)
+
+    @staticmethod
+    def order_5_op(seed):
+        rng = random.Random(seed)
+        cs = {i: rnd_series(rng) for i in range(5)}
+        cs[5] = ONE + Z * rnd_series(rng)
+        return DiffOp.from_map(cs, -2, 3, 1)
+
+    def test_flag_pairings_invert_once(self):
+        # 15 pairings, and 25 for the Gram matrix, each inverted the operator anew
+        L = self.order_5_op(1)
+        assert inverse_calls(lambda: verify_flag_pairing(L, trunc=12))[1] == 1
+        L = self.order_5_op(2)
+        assert inverse_calls(lambda: flag_gram(L, trunc=12))[1] == 1
+        # the slot holds one truncation: another starts over, once
+        assert inverse_calls(lambda: flag_gram(L, trunc=8))[1] == 1
+        assert inverse_calls(lambda: flag_gram(L, trunc=8))[1] == 0
+
+    def test_cache_is_not_a_field(self):
+        L, twin = self.order_5_op(3), self.order_5_op(3)
+        text = repr(L)
+        pseudo_invert(L, 3, trunc=12)
+        assert L._inverse is not None and twin._inverse is None
+        assert L == twin and hash(L) == hash(twin) and repr(L) == repr(twin) == text
 
 
 # -- outputs pinned bit for bit ---------------------------------------------------------

@@ -28,7 +28,6 @@ from opercalc.gauge import (
     act_quadratic_differential,
     classify_singularity,
     desingularize,
-    desingularize_componentwise,
     embed_sl2,
     gauge_apply,
     gauge_compose,
@@ -47,12 +46,12 @@ from opercalc.matrices import (
     smat_combine,
     smat_comm,
     smat_from_frac,
-    smat_identity,
     smat_is_exact_zero,
     smat_scale,
     smat_zero,
 )
 from opercalc.series import Density, LaurentSeries, is_exact_zero
+from oracles import desingularize_componentwise, inverse_calls, smat_identity
 
 Z = LaurentSeries.monomial(1, 1)
 ONE = LaurentSeries.one()
@@ -238,18 +237,6 @@ class TestAction:
         sl2 = model("A", 1)
         with pytest.raises(PreconditionError):
             GaugeElement(sl2, {0: ZERO}, []).validate()
-
-
-def inverse_calls(fn):
-    """fn() and the number of LaurentSeries.inverse calls it made."""
-    real, calls = LaurentSeries.inverse, []
-
-    def counted(self, trunc=None):
-        calls.append(self)
-        return real(self, trunc=trunc)
-
-    with mock.patch.object(LaurentSeries, "inverse", counted):
-        return fn(), len(calls)
 
 
 class TestTorusInverses:

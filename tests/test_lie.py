@@ -27,7 +27,6 @@ from opercalc.matrices import (
     smat_combine,
     smat_comm,
     smat_from_frac,
-    smat_identity,
     smat_is_zero,
     smat_mul,
     smat_scale,
@@ -35,6 +34,7 @@ from opercalc.matrices import (
     smat_zero,
 )
 from opercalc.series import LaurentSeries
+from oracles import smat_identity
 
 ALL_MODELS = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
