@@ -30,6 +30,7 @@ from .matrices import (
     fmat_inverse,
     fmat_mul,
     fmat_transpose,
+    smat_agrees,
     smat_from_frac,
     smat_mul,
 )
@@ -99,11 +100,7 @@ class FlaggedSystem(Record):
         return (
             (self.src, self.tgt, self.planck) == (other.src, other.tgt, other.planck)
             and self.n == other.n
-            and all(
-                a.agrees(b)
-                for ra, rb in zip(self.matrix, other.matrix)
-                for a, b in zip(ra, rb)
-            )
+            and smat_agrees(self.matrix, other.matrix)
         )
 
 
@@ -136,15 +133,18 @@ def as_flagged(conn: OperConnection) -> FlaggedSystem:
 # -- the cyclic read-off ---------------------------------------------------------
 
 
+def _nabla_row(q: SeriesMatrix, h: Fraction, vec: Sequence[LaurentSeries],
+               i: int) -> LaurentSeries:
+    """Row i of (h d/dz + q) vec."""
+    acc = dot(zip(q[i], vec))
+    if h and not is_exact_zero(vec[i]):
+        acc = h * vec[i].derivative() + acc
+    return acc
+
+
 def _apply_nabla(q: SeriesMatrix, h: Fraction,
                  vec: Sequence[LaurentSeries]) -> List[LaurentSeries]:
-    out = []
-    for i, row in enumerate(q):
-        acc = dot(zip(row, vec))
-        if h and not is_exact_zero(vec[i]):
-            acc = h * vec[i].derivative() + acc
-        out.append(acc)
-    return out
+    return [_nabla_row(q, h, vec, i) for i in range(len(q))]
 
 
 def _flag_readoff(q: SeriesMatrix, h: Fraction, trunc: Optional[int]) -> List[LaurentSeries]:
@@ -585,12 +585,9 @@ def so_even_extract(conn: OperConnection,
         raise PreconditionError("middle correction is degenerate")
     cross = delta[k - 1] * s[k] - delta[k] * s[k - 1]
     s[k - 2] = -cross.div(theta, trunc)
-    # each remaining row determines the next correction through its subdiagonal
+    # row i of nabla s, where s[i - 1] is still an exact 0, determines s[i - 1]
     for i in range(k - 2, 0, -1):
-        acc = dot((q[i][j], s[j]) for j in range(n) if j != i - 1)
-        if h:
-            acc = h * s[i].derivative() + acc
-        s[i - 1] = -acc.div(q[i][i - 1], trunc)
+        s[i - 1] = -_nabla_row(q, h, s, i).div(q[i][i - 1], trunc)
     delta = _apply_nabla(q, h, s)
     for i in range(1, n):
         if not delta[i].is_zero():

@@ -9,13 +9,17 @@ D^(-1)) and the inverse of an operator give the pairing res(u L^(-1) v^t);
 transposes, kernels along the diagonal, and Lie derivatives complete the
 calculus.
 
+DiffOp's own arithmetic is the symbol calculus seen through ``to_symbol``:
+sums and ``agrees`` are the symbols', :func:`_differential` is the one way
+back to a DiffOp, and :func:`_floor` is the one floor rule of a product.
+
 The symbol calculus runs on one kernel, :func:`_products`, the only binomial
 expansion here.  Its callers ask it only for the coefficients they return:
 compose for its tracked range, transpose for the orders it keeps,
 pseudo_invert for the one coefficient of op . (partial inverse) that fixes
 the next term, and pairing for the orders of u . op^(-1) that reach D^(-1)
-and then for that coefficient alone.  Each coefficient is built as one
-product or one sum of products (``series._dot``) over its Leibniz terms.
+and then for that coefficient alone.  Each coefficient is built as one sum
+of products (``series._dot``) over its Leibniz terms.
 
 An operator inverts once per truncation: its private ``_inverse`` slot holds,
 for the last truncation asked, the inverse of its leading coefficient and the
@@ -82,10 +86,7 @@ class DiffOp(Record):
         return Density(self.coeffs[-1], self.tgt - self.src - self.order)
 
     def agrees(self, other: "DiffOp") -> bool:
-        if (self.src, self.tgt, self.planck) != (other.src, other.tgt, other.planck):
-            return False
-        hi = max(self.order, other.order)
-        return all(self.coeff(i).agrees(other.coeff(i)) for i in range(hi + 1))
+        return self.to_symbol().agrees(other.to_symbol())
 
     def __repr__(self):
         parts = [f"({c})*D^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
@@ -94,19 +95,8 @@ class DiffOp(Record):
 
     # -- ring structure -------------------------------------------------------
 
-    def _check_linear(self, other: "DiffOp"):
-        if (self.src, self.tgt) != (other.src, other.tgt):
-            raise PreconditionError("cannot add operators between different densities")
-        if self.planck != other.planck:
-            raise PreconditionError("cannot mix distinct planck values")
-
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        self._check_linear(other)
-        hi = max(self.order, other.order)
-        return DiffOp.from_map(
-            {i: self.coeff(i) + other.coeff(i) for i in range(hi + 1)},
-            self.src, self.tgt, self.planck,
-        )
+        return _differential(self.to_symbol() + other.to_symbol())
 
     def __neg__(self) -> "DiffOp":
         return DiffOp(self.order, self.src, self.tgt, self.planck,
@@ -192,7 +182,7 @@ class PseudoSymbol:
 
     def __add__(self, other: "PseudoSymbol") -> "PseudoSymbol":
         if (self.src, self.tgt) != (other.src, other.tgt):
-            raise PreconditionError("cannot add symbols between different densities")
+            raise PreconditionError("cannot add operators between different densities")
         if self.planck != other.planck:
             raise PreconditionError("cannot mix distinct planck values")
         unknown = [s.floor for s in (self, other) if not s.exact_below]
@@ -219,6 +209,11 @@ def _as_symbol(op: Operator) -> PseudoSymbol:
     return op.to_symbol() if isinstance(op, DiffOp) else op
 
 
+def _differential(p: PseudoSymbol) -> DiffOp:
+    """The operator of a symbol exact below D^0: the one place a symbol becomes a DiffOp."""
+    return DiffOp.from_map(p.coeffs, p.src, p.tgt, p.planck)
+
+
 def _products(pairs: Sequence[Tuple[Tuple[int, LaurentSeries], Tuple[int, LaurentSeries]]],
               h: Fraction, lo: int, hi: int) -> Dict[int, LaurentSeries]:
     """The D^k coefficients, lo <= k <= hi, of the sum of f D^i . g D^j over the pairs.
@@ -227,7 +222,7 @@ def _products(pairs: Sequence[Tuple[Tuple[int, LaurentSeries], Tuple[int, Lauren
     reaches D^k at kk = i + j - k >= 0; for i >= 0 the sum stops at kk = i and
     at planck 0 it stops at kk = 0.  Each derivative g^(kk) is built once and
     each binom(i, kk) h^kk f once per call, and every coefficient is one
-    product or one ``_dot`` over its terms.  Exact zeros take no part.
+    ``_dot`` over its terms.  Exact zeros take no part.
     """
     derivs: Dict[int, List[LaurentSeries]] = {}  # keyed by id: pairs holds every g
     scaled: Dict[Tuple[int, int, int], LaurentSeries] = {}
@@ -253,7 +248,7 @@ def _products(pairs: Sequence[Tuple[Tuple[int, LaurentSeries], Tuple[int, Lauren
                 c = _gbinom(i, kk) * (1 if unit else h**kk)
                 fk = scaled[(id(f), i, kk)] = f if c == 1 else c * f
             terms.setdefault(i + j - kk, []).append((fk, gk))
-    return {k: t[0][0] * t[0][1] if len(t) == 1 else _dot(t) for k, t in terms.items()}
+    return {k: _dot(t) for k, t in terms.items()}
 
 
 def _pairs(a: Mapping[int, LaurentSeries], b: Mapping[int, LaurentSeries]):
@@ -272,28 +267,30 @@ def _check_chain(a: Operator, b: Operator):
         raise PreconditionError("cannot compose distinct planck values")
 
 
+def _floor(sa: PseudoSymbol, sb: PseudoSymbol) -> Tuple[int, bool]:
+    """Floor of sa . sb and whether it is exact below it; a negative power in
+    an exact sa expands into an infinite tail."""
+    if sa.exact_below and sb.exact_below:
+        return sa.floor + sb.floor, all(i >= 0 for i in sa.coeffs)
+    cands = []
+    if not sa.exact_below:
+        cands.append(sa.floor + sb.top)
+    if not sb.exact_below:
+        cands.append(sb.floor + sa.top)
+    return max(cands), False
+
+
 def compose(a: Operator, b: Operator) -> Operator:
     """Normal-form product a . b; differential inputs give a differential output."""
     _check_chain(a, b)
     sa, sb = _as_symbol(a), _as_symbol(b)
     h = sa.planck
     top = sa.top + sb.top
-    if sa.exact_below and sb.exact_below:
-        floor = sa.floor + sb.floor
-        # a negative power on the left expands into an infinite tail
-        exact = all(i >= 0 for i in sa.coeffs)
-    else:
-        cands = []
-        if not sa.exact_below:
-            cands.append(sa.floor + sb.top)
-        if not sb.exact_below:
-            cands.append(sb.floor + sa.top)
-        floor = max(cands)
-        exact = False
+    floor, exact = _floor(sa, sb)
     acc = _products(_pairs(sa.coeffs, sb.coeffs), h, floor, top)
     out = PseudoSymbol(top, floor, sb.src, sa.tgt, h, acc, exact)
     if isinstance(a, DiffOp) and isinstance(b, DiffOp):
-        return DiffOp.from_map(dict(out.coeffs), sb.src, sa.tgt, h)
+        return _differential(out)
     return out
 
 
@@ -402,11 +399,8 @@ def pairing(u: Operator, v: Operator, op: DiffOp,
     inv = pseudo_invert(op, depth, trunc=trunc)
     _check_chain(su, inv)
     _check_chain(inv, vt)  # u . op^(-1) has the source of op^(-1)
-    # the floors compose would give u . op^(-1) and then the triple product
-    floor = inv.floor + su.top
-    if not su.exact_below:
-        floor = max(floor, su.floor + inv.top)
-    _check_residue_floor(floor + vt.order)
+    # the floor compose would give u . op^(-1), and then the triple product
+    _check_residue_floor(_floor(su, inv)[0] + vt.order)
     h = op.planck
     left = _products(_pairs(su.coeffs, inv.coeffs), h, -1 - vt.order, su.top + inv.top)
     return _products(_pairs(left, dict(enumerate(vt.coeffs))), h, -1, -1).get(-1, ZERO)

@@ -5,9 +5,9 @@ Fraction) and matrices of series (nested lists of LaurentSeries).  Structure
 matrices support elimination and inversion; series matrices only
 need the ring operations and evaluation against rational structure data.
 
-Series matrices skip exact-zero entries everywhere.  A product entry with
-one nonzero term is that one series product; an entry with more is one
-sum of products (``series._dot``): one big-int sum at the slot width that
+Series matrices skip exact-zero entries everywhere.  Each product entry is
+one ``series._dot`` over its nonzero terms: a lone term is one series
+product, decided there, and more are one big-int sum at the slot width that
 entry needs, read back into one series with the certified order of the sum.
 """
 
@@ -132,7 +132,7 @@ def smat_scale(c, a: SeriesMatrix) -> SeriesMatrix:
 
 
 def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    """a * b over the nonzero terms of each entry: one term is a product, more a sum of products."""
+    """a * b with each entry one ``_dot`` over its nonzero terms."""
     rows_b = [[(j, y) for j, y in enumerate(row) if not is_exact_zero(y)] for row in b]
     zero = LaurentSeries.zero()
     out = []
@@ -147,7 +147,7 @@ def smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
                         terms[j] = [(x, y)]
         row = [zero] * len(b[0])
         for j, t in terms.items():
-            row[j] = t[0][0] * t[0][1] if len(t) == 1 else _dot(t)
+            row[j] = _dot(t)
         out.append(row)
     return out
 

@@ -611,7 +611,7 @@ def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]],
 
     Exact-zero factors are skipped, and so is a term of zero weight, as
     0 * (x * y) is exactly 0; the rest is :func:`_dot` (weights 1 each when
-    None).
+    None), which decides how a lone term is multiplied.
     """
     if weights is None:
         terms = [(x, y) for x, y in pairs if not (is_exact_zero(x) or is_exact_zero(y))]
@@ -622,25 +622,24 @@ def dot(pairs: Iterable[Tuple[LaurentSeries, LaurentSeries]],
             if w and not (is_exact_zero(x) or is_exact_zero(y)):
                 terms.append((x, y))
                 ws.append(w)
-    if len(terms) < 2:  # nothing to pack: a lone term costs less as __mul__
-        if not terms:
-            return _ZERO
-        x, y = terms[0]
-        return x * y if ws is None else x * y * ws[0]
-    return _dot(terms, ws)
+    return _dot(terms, ws) if terms else _ZERO
 
 
 def _dot(terms: Sequence[Tuple[LaurentSeries, LaurentSeries]],
          ws: Optional[Sequence[Rat]] = None) -> LaurentSeries:
-    """sum w * x * y over pairs with no exact-zero factor and no zero weight.
+    """sum w * x * y over one or more pairs with no exact-zero factor and no zero weight.
 
-    The terms share one denominator, with the weights (1 each when None) in
-    its scales.  A term with a monomial factor only scales its other factor
-    into the output list; the rest are packed whole (see :func:`_convolve`)
-    at the slot width this sum needs, into one integer read back once: the
-    read masks off the slots at and above the sum's length, and carries only
-    move upward.
+    The one place a lone term is decided: it is ``x * y`` (times its weight),
+    which keeps __mul__'s exact 0 and 1 returns.  More terms share one
+    denominator, with the weights (1 each when None) in its scales.  A term
+    with a monomial factor only scales its other factor into the output list;
+    the rest are packed whole (see :func:`_convolve`) at the slot width this
+    sum needs, into one integer read back once: the read masks off the slots
+    at and above the sum's length, and carries only move upward.
     """
+    if len(terms) == 1:
+        x, y = terms[0]
+        return x * y if ws is None else x * y * ws[0]
     dens = [x.den * y.den for x, y in terms]
     if ws is None:
         den = lcm(*dens)

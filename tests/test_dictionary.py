@@ -6,16 +6,19 @@ back-substituted cyclic vectors the other), so agreement is a real check.
 Transpose symmetries are verified against the transpose from the operator
 module, Gram determinants against a from-scratch Laplace expansion, and the
 rank-one orthogonal bridge against matrices and coefficients recorded inline.
+Miura opers y + diag(phi) are checked against closed forms built from the phi_i.
 """
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opercalc.diffops import (
     DiffOp,
+    compose,
     lie_derivative,
     pairing,
     symbols,
@@ -45,7 +48,14 @@ from opercalc.dictionary import (
     so_even_extract,
     verify_flag_pairing,
 )
-from opercalc.gauge import CanonicalForm, GaugeElement, OperConnection, gauge_apply
+from opercalc.gauge import (
+    CanonicalForm,
+    GaugeElement,
+    OperConnection,
+    gauge_apply,
+    hitchin_map,
+    normalize,
+)
 from opercalc.lie import model
 from opercalc.matrices import smat_add, smat_from_frac, smat_scale, smat_zero
 from opercalc.series import Density, LaurentSeries, is_exact_zero
@@ -668,3 +678,139 @@ class TestEveryKindRoundTrips:
         back = diffop_from_oper(oper_from_diffop(op, kind, trunc=trunc), trunc=trunc or 20)
         assert back.agrees(op) and back.order == order
         verify_flag_pairing(op, trunc=24)
+
+
+# -- Miura opers: closed forms from a factorization ---------------------------------
+
+MIURA_MODELS = [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 5)] + \
+    [("C", r) for r in range(2, 5)] + [("D", r) for r in range(3, 5)]
+SCALAR_MODELS = [fr for fr in MIURA_MODELS if fr[0] != "D"]
+MIURA_KIND = {"A": "sl", "B": "so_odd", "C": "sp"}
+MIURA_INPUTS = pytest.mark.parametrize("truncated", [False, True], ids=["exact", "truncated"])
+
+
+def miura_phi(rng, truncated):
+    """A short series, an exact zero now and then, cut at its own order when truncated."""
+    if rng.random() < 0.15:
+        return ZERO
+    s = LaurentSeries.from_terms({k: F(rng.randint(-3, 3), rng.randint(1, 2))
+                                  for k in range(rng.randint(0, 1), 3)})
+    return s.truncate(rng.randint(4, 8)) if truncated else s
+
+
+def miura_diagonal(rng, m, truncated):
+    """phi_0..phi_(N-1) of a diagonal in the model: traceless for A, and
+    (phi, -phi reversed) for B, C and D, with an exact 0 in the middle for B."""
+    if m.family == "A":
+        phis = [miura_phi(rng, truncated) for _ in range(m.N - 1)]
+        last = ZERO
+        for p in phis:
+            last = last - p
+        return phis + [last]
+    half = [miura_phi(rng, truncated) for _ in range(m.N // 2)]
+    return half + [ZERO] * (m.N % 2) + [-p for p in reversed(half)]
+
+
+def miura_case(family, rank, h, truncated):
+    """The model, its diagonal phi and the Miura connection y + diag(phi)."""
+    m = model(family, rank)
+    phis = miura_diagonal(random.Random(f"miura:{family}{rank}:{h}:{truncated}"), m, truncated)
+    q = smat_from_frac(m.y)
+    for i, p in enumerate(phis):
+        q[i][i] = p
+    conn = OperConnection(m, h, q)
+    conn.validate()
+    return m, phis, conn
+
+
+def miura_factors(phis, h):
+    """(D - phi_(N-1)) . ... . (D - phi_0) on the self-dual window, one compose per factor."""
+    a = F(1 - len(phis), 2)
+    out = None
+    for i, p in enumerate(phis):
+        f = DiffOp.from_map({1: ONE, 0: -p}, a + i, a + i + 1, h)
+        out = f if out is None else compose(f, out)
+    return out
+
+
+def elementary(phis):
+    """e_0..e_N of the phi_i: one product per subset."""
+    e = []
+    for k in range(len(phis) + 1):
+        acc = ZERO
+        for sub in combinations(phis, k):
+            t = ONE
+            for p in sub:
+                t = t * p
+            acc = acc + t
+        e.append(acc)
+    return e
+
+
+def no_overclaim(got, ref):
+    """got agrees with ref and certifies no order that ref leaves open."""
+    if ref.trunc is None:
+        return got.agrees(ref)
+    return got.agrees(ref) and got.trunc is not None and got.trunc <= ref.trunc
+
+
+def assert_closed_form(got, ref, truncated):
+    if not truncated:
+        assert got == ref
+    else:
+        assert got.order == ref.order
+        for g, r in zip(got.coeffs, ref.coeffs):
+            assert no_overclaim(g, r), (g, r)
+
+
+class TestMiuraOracle:
+    """Miura opers y + diag(phi) against closed forms built here from the phi_i
+    (Drinfeld-Sokolov 1985, section 3; Frenkel, Opers on the projective line, 2004).
+
+    (a) The scalar operator is the composed factors (D - phi_(N-1)) ... (D - phi_0).
+    (b) normalize agrees with normalize of the connection oper_from_diffop builds
+    from those factors.  (c) At h = 0 the invariant of degree k is (-1)^k e_k(phi).
+    Exact inputs give ==; truncated ones agree and certify no order the closed
+    form leaves open.  D opers are not scalar, so D takes (c) only.  Nothing here
+    shares code with the read-off, normalize or lie.invariants beyond calling them.
+    """
+
+    @MIURA_INPUTS
+    @pytest.mark.parametrize("h", [F(1), F(1, 2), F(0)], ids=str)
+    @pytest.mark.parametrize("family,rank", SCALAR_MODELS, ids=lambda x: str(x))
+    def test_scalar_operator_is_the_composed_factors(self, family, rank, h, truncated):
+        m, phis, conn = miura_case(family, rank, h, truncated)
+        assert_closed_form(diffop_from_oper(conn), miura_factors(phis, h), truncated)
+        if family == "A":
+            # the general-linear flagged system takes any diagonal, traceless or not
+            rng = random.Random(f"miura:gl{rank}:{h}:{truncated}")
+            phis = [miura_phi(rng, truncated) for _ in range(m.N)]
+            rows = [[ONE if i == j + 1 else phis[i] if i == j else ZERO for j in range(m.N)]
+                    for i in range(m.N)]
+            a = F(1 - m.N, 2)
+            fs = FlaggedSystem(rows, a, a + m.N, h)
+            assert_closed_form(diffop_from_oper(fs), miura_factors(phis, h), truncated)
+
+    @MIURA_INPUTS
+    @pytest.mark.parametrize("h", [F(1), F(1, 2), F(0)], ids=str)
+    @pytest.mark.parametrize("family,rank", SCALAR_MODELS, ids=lambda x: str(x))
+    def test_normal_forms_agree(self, family, rank, h, truncated):
+        m, phis, conn = miura_case(family, rank, h, truncated)
+        built = oper_from_diffop(miura_factors(phis, h), MIURA_KIND[family], trunc=None)
+        cf, cf_built = normalize(conn)[1], normalize(built)[1]
+        assert cf.agrees(cf_built)
+        if not truncated:
+            assert cf == cf_built
+
+    @MIURA_INPUTS
+    @pytest.mark.parametrize("family,rank", MIURA_MODELS, ids=lambda x: str(x))
+    def test_spectral_invariants_are_symmetric_functions(self, family, rank, truncated):
+        m, phis, conn = miura_case(family, rank, F(0), truncated)
+        e = elementary(phis)
+        got = hitchin_map(normalize(conn)[1])
+        assert [d.weight for d in got] == [k for k in range(2, m.N + 1)
+                                          if family == "A" or k % 2 == 0]
+        for d in got:
+            k = int(d.weight)
+            ref = e[k] if k % 2 == 0 else -e[k]
+            assert d.series == ref if not truncated else no_overclaim(d.series, ref)
