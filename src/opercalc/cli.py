@@ -59,8 +59,8 @@ def _read(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return ser.loads(fh.read())
-    except OSError as e:
-        raise MalformedInputError(f"cannot read {path}: {e.strerror or e}")
+    except (OSError, UnicodeDecodeError) as e:  # a missing file, or bytes that are not UTF-8
+        raise MalformedInputError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}")
 
 
 def _load_as(path: str, *formats: str):

@@ -73,15 +73,8 @@ class FlaggedSystem(Record):
             raise MalformedInputError("connection matrix must be square")
         if self.tgt - self.src != n:
             raise PreconditionError(f"edge weights must differ by the size {n}")
-        for i in range(n):
-            for j in range(n):
-                if i > j + 1 and not self.matrix[i][j].is_zero():
-                    raise NotAnOperError("matrix has entries below the first subdiagonal")
-        for i in range(n - 1):
-            a = self.matrix[i + 1][i]
-            # constant subdiagonal keeps the coordinate trivializations unambiguous
-            if not (a.is_exact() and a.is_monomial() and a.val == 0):
-                raise NotAnOperError("subdiagonal entries must be invertible constants")
+        # constant subdiagonal keeps the coordinate trivializations unambiguous
+        _require_flag(self.matrix, constant=True)
 
     def trace(self) -> LaurentSeries:
         out = ZERO
@@ -125,9 +118,31 @@ def as_flagged(conn: OperConnection) -> FlaggedSystem:
     """Coordinate flag of a matrix connection, with the self-dual edge weights."""
     if conn.model.family == "D":
         raise PreconditionError("the even orthogonal flag has a two-dimensional middle step")
-    n = conn.model.N
-    a = half_integer(Fraction(1 - n, 2))
-    return FlaggedSystem(conn.q, a, a + n, conn.planck)
+    return FlaggedSystem(conn.q, *_window(conn.model.N), conn.planck)
+
+
+def _window(n: int) -> Tuple[Fraction, Fraction]:
+    """The self-dual weight window (a, b) = ((1 - n)/2, (1 + n)/2) at order n."""
+    a = Fraction(1 - n, 2)
+    return a, 1 - a
+
+
+def _is_constant(s: LaurentSeries) -> bool:
+    """An exact nonzero constant series."""
+    return s.is_exact() and s.is_monomial() and s.val == 0
+
+
+def _require_flag(q: SeriesMatrix, constant: bool):
+    """q vanishes below the first subdiagonal and is invertible (or constant) on it."""
+    n = len(q)
+    if any(not q[i][j].is_zero() for i in range(2, n) for j in range(i - 1)):
+        raise NotAnOperError("matrix has entries below the first subdiagonal")
+    for i in range(n - 1):
+        a = q[i + 1][i]
+        if constant and not _is_constant(a):
+            raise NotAnOperError("subdiagonal entries must be invertible constants")
+        if not a.is_unit():
+            raise NotAnOperError(f"subdiagonal entry at row {i + 1} is not invertible")
 
 
 # -- the cyclic read-off ---------------------------------------------------------
@@ -148,15 +163,8 @@ def _apply_nabla(q: SeriesMatrix, h: Fraction,
 
 
 def _flag_readoff(q: SeriesMatrix, h: Fraction, trunc: Optional[int]) -> List[LaurentSeries]:
-    """Coefficients c with nabla^n e_0 = sum c_k nabla^k e_0, by back-substitution."""
+    """Coefficients c with nabla^n e_0 = sum c_k nabla^k e_0 on a checked flag (_require_flag)."""
     n = len(q)
-    for i in range(n):
-        for j in range(n):
-            if i > j + 1 and not q[i][j].is_zero():
-                raise NotAnOperError("matrix has entries below the first subdiagonal")
-    for i in range(n - 1):
-        if not q[i + 1][i].is_unit():
-            raise NotAnOperError(f"subdiagonal entry at row {i + 1} is not invertible")
     vs = [[ONE] + [ZERO] * (n - 1)]
     for _ in range(n):
         vs.append(_apply_nabla(q, h, vs[-1]))
@@ -182,25 +190,22 @@ def diffop_from_oper(obj: Union[OperConnection, FlaggedSystem],
         if kind not in (None, "gl"):
             raise PreconditionError("flagged systems carry the general-linear kind")
         obj.validate()
-        c = _flag_readoff(obj.matrix, obj.planck, trunc)
-        g = obj.symbol()
-        cmap = {i: -(g * ck) for i, ck in enumerate(c)}
-        cmap[obj.n] = g
-        return DiffOp.from_map(cmap, obj.src, obj.tgt, obj.planck)
-    model = obj.model
-    if model.family == "D":
-        raise PreconditionError("even orthogonal opers are not scalar; use so_even_extract")
-    expected = FAMILY_KIND[model.family]
-    if kind is not None and kind != expected:
-        raise PreconditionError(f"model {model.name()} carries kind {expected!r}, not {kind!r}")
-    obj = obj.truncated(trunc)
-    obj.validate()
-    n = model.N
-    c = _flag_readoff(obj.q, obj.planck, trunc)
-    a = half_integer(Fraction(1 - n, 2))
-    cmap: Dict[int, LaurentSeries] = {i: -ck for i, ck in enumerate(c)}
-    cmap[n] = ONE
-    return DiffOp.from_map(cmap, a, a + n, obj.planck)
+        q, n, g, (src, tgt) = obj.matrix, obj.n, obj.symbol(), (obj.src, obj.tgt)
+    else:
+        model = obj.model
+        if model.family == "D":
+            raise PreconditionError("even orthogonal opers are not scalar; use so_even_extract")
+        expected = FAMILY_KIND[model.family]
+        if kind is not None and kind != expected:
+            raise PreconditionError(f"model {model.name()} carries kind {expected!r}, not {kind!r}")
+        obj = obj.truncated(trunc)
+        obj.validate()
+        q, n, g, (src, tgt) = obj.q, model.N, ONE, _window(model.N)
+        _require_flag(q, constant=False)
+    c = _flag_readoff(q, obj.planck, trunc)
+    cmap = {i: -(g * ck) for i, ck in enumerate(c)}
+    cmap[n] = g
+    return DiffOp.from_map(cmap, src, tgt, obj.planck)
 
 
 # -- building connections from operators ----------------------------------------
@@ -217,11 +222,10 @@ def companion_torus(model: LieModel) -> GaugeElement:
 
 
 def _require_window(op: DiffOp):
-    n = op.order
-    a = half_integer(Fraction(1 - n, 2))
-    if (op.src, op.tgt) != (a, a + n):
+    a, b = _window(op.order)
+    if (op.src, op.tgt) != (a, b):
         raise PreconditionError(
-            f"the self-dual weight window ({a}, {a + n}) is required, got ({op.src}, {op.tgt})"
+            f"the self-dual weight window ({a}, {b}) is required, got ({op.src}, {op.tgt})"
         )
     if not op.coeffs[-1].agrees(ONE):
         raise PreconditionError("principal symbol must be 1")
@@ -232,7 +236,7 @@ def _constant_of(s: LaurentSeries) -> Fraction:
         raise AssertionError("expected an exact series")
     if s.is_zero():
         return Fraction(0)
-    if not (s.is_monomial() and s.val == 0):
+    if not _is_constant(s):
         raise AssertionError("expected a constant series")
     return s.leading()
 
@@ -243,20 +247,23 @@ def _canonical_readoff(model: LieModel, planck: Fraction,
     return _flag_readoff(CanonicalForm.of(model, planck, vals).matrix(), planck, trunc)
 
 
+def _jet(op: DiffOp, i: int) -> DiffOp:
+    """D^i on the source weight of op: the i-th step of its jet flag."""
+    return DiffOp.from_map({i: ONE}, op.src, op.src + i, op.planck)
+
+
 def verify_flag_pairing(op: DiffOp, trunc: Optional[int] = None):
-    """The residue pairing must kill e_i against e_j for i + j < n - 1
-    and be invertible on the antidiagonal; raises otherwise."""
+    """The residue pairing must kill D^i against D^j for i + j < n - 1 and be
+    invertible on the antidiagonal; raises otherwise.
+
+    With L^(-1) = sum_{m <= -n} q_m D^m, q_(-n) = 1/lead and (D^j)^t = (-1)^j D^j,
+    the D^(-1) coefficient of D^i L^(-1) (D^j)^t takes binom(i, k) h^k q_m^(k)
+    only at m = k - 1 - i - j <= -n: none below the antidiagonal (an exact 0),
+    and on it only k = 0, m = -n, giving (-1)^j / lead.  D^0 against D^(n-1) decides.
+    """
     n = op.order
-    a = op.src
-    h = op.planck
-    ops = [DiffOp.from_map({i: ONE}, a, a + i, h) for i in range(n)]
-    for i in range(n):
-        for j in range(n - 1 - i):
-            if not pairing(ops[i], ops[j], op, trunc=trunc).is_zero():
-                raise PreconditionError("flag is not self-orthogonal under the residue pairing")
-        g = pairing(ops[i], ops[n - 1 - i], op, trunc=trunc)
-        if not g.is_unit():
-            raise PreconditionError("residue pairing is degenerate on the flag")
+    if n and not pairing(_jet(op, 0), _jet(op, n - 1), op, trunc=trunc).is_unit():
+        raise PreconditionError("residue pairing is degenerate on the flag")
 
 
 def oper_from_diffop(op: DiffOp, kind: str,
@@ -313,21 +320,17 @@ def _selfdual_connection(op: DiffOp, kind: str, trunc: Optional[int]) -> OperCon
         raise PreconditionError(f"transpose condition L^t = {sign}L fails")
     h = op.planck
     exps = model.exponents
-    # slot n-1-d is gamma_d * v_d plus terms in earlier densities only:
+    # read-off slot n-1-d is g * v_d plus terms in earlier densities only:
     # any other monomial in the v's has weight above d + 1
-    gammas: List[Fraction] = []
+    vals: List[LaurentSeries] = [ZERO] * model.rank
     for r, d in enumerate(exps):
         probe = [ZERO] * model.rank
         probe[r] = ONE
         g = _constant_of(_canonical_readoff(model, h, probe, None)[n - 1 - d])
         if g == 0:
             raise AssertionError("degenerate canonical slot")
-        gammas.append(-g)
-    vals: List[LaurentSeries] = [ZERO] * model.rank
-    for r, d in enumerate(exps):
         cur = _canonical_readoff(model, h, vals, trunc)[n - 1 - d]
-        delta = op.coeff(n - 1 - d) + cur
-        vals[r] = (Fraction(1) / gammas[r]) * delta
+        vals[r] = (Fraction(1) / -g) * (op.coeff(n - 1 - d) + cur)
     final = _canonical_readoff(model, h, vals, trunc)
     for i in range(n):
         if not (-final[i]).agrees(op.coeff(i)):
@@ -360,7 +363,7 @@ def flag_gram(op: DiffOp, size: Optional[int] = None,
     if op.src + op.tgt != 1:
         raise PreconditionError("the self-dual weight window is required")
     n = op.order if size is None else size
-    ops = [DiffOp.from_map({i: ONE}, op.src, op.src + i, op.planck) for i in range(n)]
+    ops = [_jet(op, i) for i in range(n)]
     return [
         [pairing(u, v, op, trunc=trunc) for v in ops]
         for u in ops
@@ -526,13 +529,9 @@ def _series_solve(cols: Sequence[Sequence[LaurentSeries]],
     rows = [[cols[j][i] for j in range(ncol)] + [rhs[i]] for i in range(nrow)]
     where: List[int] = []
     used = set()
-
-    def constant(s: LaurentSeries) -> bool:
-        return s.is_exact() and s.is_monomial() and s.val == 0
-
     for j in range(ncol):
         # constant pivots first: dividing by them never costs precision
-        p = next((r for r in range(nrow) if r not in used and constant(rows[r][j])), None)
+        p = next((r for r in range(nrow) if r not in used and _is_constant(rows[r][j])), None)
         if p is None:
             p = next((r for r in range(nrow) if r not in used and rows[r][j].is_unit()), None)
         if p is None:

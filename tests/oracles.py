@@ -7,6 +7,7 @@ nothing in ``src/`` calls it.
 from fractions import Fraction
 from unittest import mock
 
+from opercalc.diffops import DiffOp, pairing
 from opercalc.errors import PreconditionError
 from opercalc.gauge import CanonicalForm
 from opercalc.series import LaurentSeries
@@ -43,3 +44,21 @@ def desingularize_componentwise(f, cf, trunc=None):
         s = dens.series + corr if d == 1 else dens.series
         out.append(s * f.power_rational(-d - 1, trunc=trunc))
     return CanonicalForm.of(model, h, out)
+
+
+def flag_pairing_loop(op, trunc=None):
+    """Every pairing of D^i against D^j with i + j <= n - 1: those below the
+    antidiagonal must vanish and those on it be units.  Reference for the
+    one-pairing ``verify_flag_pairing``."""
+    n = op.order
+    a = op.src
+    h = op.planck
+    one = LaurentSeries.one()
+    ops = [DiffOp.from_map({i: one}, a, a + i, h) for i in range(n)]
+    for i in range(n):
+        for j in range(n - 1 - i):
+            if not pairing(ops[i], ops[j], op, trunc=trunc).is_zero():
+                raise PreconditionError("flag is not self-orthogonal under the residue pairing")
+        g = pairing(ops[i], ops[n - 1 - i], op, trunc=trunc)
+        if not g.is_unit():
+            raise PreconditionError("residue pairing is degenerate on the flag")

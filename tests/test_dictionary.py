@@ -12,10 +12,12 @@ Miura opers y + diag(phi) are checked against closed forms built from the phi_i.
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opercalc import dictionary
 from opercalc.diffops import (
     DiffOp,
     compose,
@@ -29,6 +31,7 @@ from opercalc.diffops import (
 from opercalc.errors import (
     MalformedInputError,
     NotAnOperError,
+    OperCalcError,
     PreconditionError,
 )
 from opercalc.dictionary import (
@@ -59,6 +62,7 @@ from opercalc.gauge import (
 from opercalc.lie import model
 from opercalc.matrices import smat_add, smat_from_frac, smat_scale, smat_zero
 from opercalc.series import Density, LaurentSeries, is_exact_zero
+from oracles import flag_pairing_loop
 
 Z = LaurentSeries.monomial(1, 1)
 ONE = LaurentSeries.one()
@@ -399,7 +403,62 @@ class TestDuality:
         assert got.agrees(want)
 
 
+FLAG_LEADS = ("unit", "non-unit", "non-monomial", "truncated")
+
+
+@st.composite
+def st_flag_case(draw):
+    """An operator of order 0-6 at planck 1, 1/2 or 0, in or off the self-dual
+    window, with a lead of each kind, and the truncation to check it at."""
+    n = draw(st.integers(0, 6))
+    h = draw(st.sampled_from([F(1), F(1, 2), F(0)]))
+    rng = draw(st.randoms(use_true_random=False))
+    a = F(1 - n, 2)
+    if not draw(st.booleans()):
+        a += F(rng.choice([-3, -2, -1, 1, 2, 3]), 2)
+    c = LaurentSeries.constant(rng.choice([1, -1, 2, F(-1, 3)]))
+    kind = draw(st.sampled_from(FLAG_LEADS))
+    if kind == "unit":
+        lead = c
+    elif kind == "non-unit":
+        lead = Z * (c + Z * rnd_poly(rng))
+    elif kind == "non-monomial":
+        lead = c + Z * c + Z * Z * rnd_poly(rng)
+    else:
+        lead = (c + Z * rnd_poly(rng)).truncate(rng.randint(1, 6))
+    coeffs = [rnd_poly(rng) for _ in range(n)] + [lead]
+    coeffs = [x.truncate(rng.randint(2, 9)) if rng.random() < 0.3 else x for x in coeffs]
+    trunc = draw(st.sampled_from([None, 12, 8, 3, 0, -1]))
+    return (n, a, a + n, h, coeffs), trunc
+
+
+def flag_outcome(check, args, trunc):
+    """None, or the type and message of what check raises, on a fresh operator
+    (its inverse slot empty), and the number of pairings it computed."""
+    real, calls = dictionary.pairing, []
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    op = DiffOp(*args)
+    with mock.patch.object(dictionary, "pairing", counted):
+        try:
+            check(op, trunc=trunc)
+        except OperCalcError as e:
+            return (type(e).__name__, str(e)), len(calls)
+    return None, len(calls)
+
+
 class TestFlagPairing:
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(case=st_flag_case())
+    def test_one_pairing_matches_every_pairing(self, case):
+        args, trunc = case
+        got, calls = flag_outcome(verify_flag_pairing, args, trunc)
+        assert got == flag_outcome(flag_pairing_loop, args, trunc)[0]
+        assert calls == (1 if args[0] else 0)
+
     def test_gram_pattern_so_odd(self):
         rng = random.Random(29)
         for order in (3, 5):
@@ -685,6 +744,7 @@ class TestEveryKindRoundTrips:
 MIURA_MODELS = [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 5)] + \
     [("C", r) for r in range(2, 5)] + [("D", r) for r in range(3, 5)]
 SCALAR_MODELS = [fr for fr in MIURA_MODELS if fr[0] != "D"]
+SELF_DUAL_MODELS = [fr for fr in MIURA_MODELS if fr[0] in "BC"]
 MIURA_KIND = {"A": "sl", "B": "so_odd", "C": "sp"}
 MIURA_INPUTS = pytest.mark.parametrize("truncated", [False, True], ids=["exact", "truncated"])
 
@@ -770,6 +830,9 @@ class TestMiuraOracle:
     (a) The scalar operator is the composed factors (D - phi_(N-1)) ... (D - phi_0).
     (b) normalize agrees with normalize of the connection oper_from_diffop builds
     from those factors.  (c) At h = 0 the invariant of degree k is (-1)^k e_k(phi).
+    (d) For B and C the factors pair off, as phi_(N-1-i) = -phi_i, so
+    L^t = (-1)^N L, and the dictionary's round trip through the sp or so_odd
+    connection gives L back (for truncated phi it only agrees, see the test).
     Exact inputs give ==; truncated ones agree and certify no order the closed
     form leaves open.  D opers are not scalar, so D takes (c) only.  Nothing here
     shares code with the read-off, normalize or lie.invariants beyond calling them.
@@ -814,3 +877,16 @@ class TestMiuraOracle:
             k = int(d.weight)
             ref = e[k] if k % 2 == 0 else -e[k]
             assert d.series == ref if not truncated else no_overclaim(d.series, ref)
+
+    @MIURA_INPUTS
+    @pytest.mark.parametrize("h", [F(1), F(1, 2), F(0)], ids=str)
+    @pytest.mark.parametrize("family,rank", SELF_DUAL_MODELS, ids=lambda x: str(x))
+    def test_self_dual_factor_products(self, family, rank, h, truncated):
+        m, phis, _ = miura_case(family, rank, h, truncated)
+        op = miura_factors(phis, h)
+        assert_closed_form(transpose(op), op if m.N % 2 == 0 else -op, truncated)
+        back = diffop_from_oper(oper_from_diffop(op, MIURA_KIND[family]))
+        # the coefficients L^t = +-L forces to vanish come back exact from the
+        # canonical connection, which has no slot for them: a truncated input
+        # only agrees
+        assert back.agrees(op) if truncated else back == op

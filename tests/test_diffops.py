@@ -783,7 +783,7 @@ class TestInverseCache:
         return DiffOp.from_map(cs, -2, 3, 1)
 
     def test_flag_pairings_invert_once(self):
-        # 15 pairings, and 25 for the Gram matrix, each inverted the operator anew
+        # one pairing, and 25 for the Gram matrix, which each inverted the operator anew
         L = self.order_5_op(1)
         assert inverse_calls(lambda: verify_flag_pairing(L, trunc=12))[1] == 1
         L = self.order_5_op(2)
