@@ -20,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .diffops import DiffOp, PseudoSymbol, compose, pairing, pseudo_invert, to_plain, transpose
+from .diffops import (DiffOp, PseudoSymbol, _pairing_transposed, compose, pairing,
+                      pseudo_invert, to_plain, transpose)
 from .errors import MalformedInputError, NotAnOperError, PreconditionError
 from .gauge import CanonicalForm, GaugeElement, OperConnection, gauge_apply
 from .lie import LieModel, model as lie_model
@@ -231,16 +232,6 @@ def _require_window(op: DiffOp):
         raise PreconditionError("principal symbol must be 1")
 
 
-def _constant_of(s: LaurentSeries) -> Fraction:
-    if not s.is_exact():
-        raise AssertionError("expected an exact series")
-    if s.is_zero():
-        return Fraction(0)
-    if not _is_constant(s):
-        raise AssertionError("expected a constant series")
-    return s.leading()
-
-
 def _canonical_readoff(model: LieModel, planck: Fraction,
                        vals: Sequence[LaurentSeries],
                        trunc: Optional[int]) -> List[LaurentSeries]:
@@ -319,16 +310,18 @@ def _selfdual_connection(op: DiffOp, kind: str, trunc: Optional[int]) -> OperCon
         sign = "+" if kind == "sp" else "-"
         raise PreconditionError(f"transpose condition L^t = {sign}L fails")
     h = op.planck
-    exps = model.exponents
     # read-off slot n-1-d is g * v_d plus terms in earlier densities only:
-    # any other monomial in the v's has weight above d + 1
+    # any other monomial in the v's has weight above d + 1.  The read-off of
+    # the constant oper y + B_d is its characteristic polynomial, so g is
+    # (-1)^d e_(d+1)(y + B_d).  By the grading, tr((y + B_d)^k) is 0 for k <= d
+    # (y is nilpotent) and (d+1) tr(y^d B_d) at k = d + 1, so Newton's
+    # identities leave g = tr(y^d B_d).  The exponents 1, 3, 5, ... step y^d by y^2.
+    yd, y2 = model.y, fmat_mul(model.y, model.y)
     vals: List[LaurentSeries] = [ZERO] * model.rank
-    for r, d in enumerate(exps):
-        probe = [ZERO] * model.rank
-        probe[r] = ONE
-        g = _constant_of(_canonical_readoff(model, h, probe, None)[n - 1 - d])
-        if g == 0:
-            raise AssertionError("degenerate canonical slot")
+    for r, d in enumerate(model.exponents):
+        (b,) = model.kostant_data(d)["vbasis"]
+        g = sum(yd[i][j] * b[j][i] for i in range(n) for j in range(n))
+        yd = fmat_mul(yd, y2)
         cur = _canonical_readoff(model, h, vals, trunc)[n - 1 - d]
         vals[r] = (Fraction(1) / -g) * (op.coeff(n - 1 - d) + cur)
     final = _canonical_readoff(model, h, vals, trunc)
@@ -364,8 +357,9 @@ def flag_gram(op: DiffOp, size: Optional[int] = None,
         raise PreconditionError("the self-dual weight window is required")
     n = op.order if size is None else size
     ops = [_jet(op, i) for i in range(n)]
+    transposed = [transpose(v) for v in ops]
     return [
-        [pairing(u, v, op, trunc=trunc) for v in ops]
+        [_pairing_transposed(u, vt, op, None, trunc) for vt in transposed]
         for u in ops
     ]
 

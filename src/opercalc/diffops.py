@@ -391,11 +391,16 @@ def pairing(u: Operator, v: Operator, op: DiffOp,
     """
     if isinstance(v, PseudoSymbol):
         raise PreconditionError("the right slot must be a differential operator")
-    vt = transpose(v)
+    return _pairing_transposed(u, transpose(v), op, depth, trunc)
+
+
+def _pairing_transposed(u: Operator, vt: DiffOp, op: DiffOp,
+                        depth: Optional[int], trunc: Optional[int]) -> LaurentSeries:
+    """:func:`pairing` with v^t given; v^t has the order of v."""
     su = _as_symbol(u)
     if depth is None:
         # floor of u . op^(-1) . v^t is u.top + v.order - order - depth
-        depth = max(su.top + v.order - op.order + 1, 0)
+        depth = max(su.top + vt.order - op.order + 1, 0)
     inv = pseudo_invert(op, depth, trunc=trunc)
     _check_chain(su, inv)
     _check_chain(inv, vt)  # u . op^(-1) has the source of op^(-1)

@@ -7,9 +7,11 @@ nothing in ``src/`` calls it.
 from fractions import Fraction
 from unittest import mock
 
-from opercalc.diffops import DiffOp, pairing
+from opercalc.dictionary import _canonical_readoff, _require_window, verify_flag_pairing
+from opercalc.diffops import DiffOp, pairing, transpose
 from opercalc.errors import PreconditionError
 from opercalc.gauge import CanonicalForm
+from opercalc.lie import model as lie_model
 from opercalc.series import LaurentSeries
 
 
@@ -62,3 +64,68 @@ def flag_pairing_loop(op, trunc=None):
         g = pairing(ops[i], ops[n - 1 - i], op, trunc=trunc)
         if not g.is_unit():
             raise PreconditionError("residue pairing is degenerate on the flag")
+
+
+def _constant_of(s):
+    if not s.is_exact():
+        raise AssertionError("expected an exact series")
+    if s.is_zero():
+        return Fraction(0)
+    if not (s.is_monomial() and s.val == 0):
+        raise AssertionError("expected a constant series")
+    return s.leading()
+
+
+def probe_slot_constant(model, h, r):
+    """Slot n-1-d of the read-off of the constant oper y + B_d, d the r-th
+    exponent, by a full series read-off of its canonical connection."""
+    probe = [LaurentSeries.zero()] * model.rank
+    probe[r] = LaurentSeries.one()
+    return _constant_of(_canonical_readoff(model, h, probe, None)[model.N - 1 - model.exponents[r]])
+
+
+def selfdual_connection_probed(op, kind, trunc=None):
+    """The sp / so_odd build with each slot constant probed by a read-off.
+    Reference for the closed-form constants of ``oper_from_diffop``."""
+    n = op.order
+    if kind == "sp":
+        if n < 2 or n % 2:
+            raise PreconditionError("the symplectic kind needs even order")
+        model = lie_model("C", n // 2)
+        want = op
+    else:
+        if n < 3 or n % 2 == 0:
+            raise PreconditionError("the odd orthogonal kind needs odd order at least 3")
+        model = lie_model("B", (n - 1) // 2)
+        want = -op
+    _require_window(op)
+    if not transpose(op).agrees(want):
+        sign = "+" if kind == "sp" else "-"
+        raise PreconditionError(f"transpose condition L^t = {sign}L fails")
+    h = op.planck
+    vals = [LaurentSeries.zero()] * model.rank
+    for r, d in enumerate(model.exponents):
+        g = probe_slot_constant(model, h, r)
+        if g == 0:
+            raise AssertionError("degenerate canonical slot")
+        cur = _canonical_readoff(model, h, vals, trunc)[n - 1 - d]
+        vals[r] = (Fraction(1) / -g) * (op.coeff(n - 1 - d) + cur)
+    final = _canonical_readoff(model, h, vals, trunc)
+    for i in range(n):
+        if not (-final[i]).agrees(op.coeff(i)):
+            raise PreconditionError(
+                "operator is not in the image of the canonical connections of this kind"
+            )
+    verify_flag_pairing(op, trunc=trunc)
+    return CanonicalForm.of(model, h, vals).connection()
+
+
+def flag_gram_loop(op, size=None, trunc=None):
+    """G[i][j] = pairing(D^i, D^j, op), one public pairing call per entry.
+    Reference for ``flag_gram``, which transposes each D^j once."""
+    if op.src + op.tgt != 1:
+        raise PreconditionError("the self-dual weight window is required")
+    n = op.order if size is None else size
+    one = LaurentSeries.one()
+    ops = [DiffOp.from_map({i: one}, op.src, op.src + i, op.planck) for i in range(n)]
+    return [[pairing(u, v, op, trunc=trunc) for v in ops] for u in ops]

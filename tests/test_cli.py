@@ -192,6 +192,14 @@ class TestKernel:
         assert "result=fail" in out
         assert err.startswith("operctl: code=4 kind=IdentityCheckError")
 
+    def test_check_needs_vanishing_subprincipal(self, tmp_path, capsys):
+        op = DiffOp.from_map({2: ONE, 1: Z, 0: U}, F(-1, 2), F(3, 2), 1)
+        src = write(tmp_path / "op.json", ser.diffop_obj(op))
+        code, out, err = run(["kernel-check", src, "--check", "pow43"], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("operctl: code=2 ")
+        assert "subprincipal coefficient must vanish" in err
+
     def test_check_needs_window(self, tmp_path, capsys):
         op = DiffOp.from_map({2: ONE, 0: U}, 0, 2, 1)
         src = write(tmp_path / "op.json", ser.diffop_obj(op))
@@ -352,6 +360,13 @@ class TestTables:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("operctl: code=1 ")
 
+    @pytest.mark.parametrize("algebra,family,rank", [("A:0", "A", 0), ("D:1", "D", 1)])
+    def test_dims_rank_out_of_range_exits_1(self, capsys, algebra, family, rank):
+        code, out, err = run(["dims", "--algebra", algebra, "--genus", "2"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("operctl: code=1 ")
+        assert f"rank {rank} out of range for family {family}" in err
+
     def test_classify_table(self, tmp_path, capsys):
         cf = CanonicalForm(
             model("A", 1), F(1), (Density(LaurentSeries.from_terms({-2: 5, 0: 1}), 2),)
@@ -401,6 +416,31 @@ class TestDiagnostics:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(["normalize", str(tmp_path / "absent.json")], capsys)
         assert code == 1 and "cannot read" in err
+
+    def test_out_into_a_missing_directory_exits_1(self, tmp_path, capsys):
+        conn = OperConnection(model("A", 1), F(1), ((ZERO, -1 * U), (ONE, ZERO)))
+        src = write(tmp_path / "c.json", ser.connection_obj(conn))
+        code, out, err = run(["normalize", src, "--out", tmp_path / "absent" / "r"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("operctl: code=1 ")
+        assert "cannot write" in err and not (tmp_path / "absent").exists()
+
+    def test_canonical_weight_off_its_exponent_exits_2(self, tmp_path, capsys):
+        obj = ser.canonical_obj(CanonicalForm(model("A", 1), F(0), (Density(U, 2),)))
+        obj["v"][0]["weight"] = 3
+        src = write(tmp_path / "cf.json", obj)
+        code, out, err = run(["hitchin", src], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("operctl: code=2 ")
+        assert "density for exponent 1 must have weight 2, got 3" in err
+
+    def test_convert_non_unit_subdiagonal_exits_2(self, tmp_path, capsys):
+        conn = OperConnection(model("A", 1), F(1), ((ZERO, U), (Z, ZERO)))
+        src = write(tmp_path / "c.json", ser.connection_obj(conn))
+        code, out, err = run(["convert", src], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "kind=NotAnOperError" in err
+        assert "subdiagonal entry at row 1 is not invertible" in err
 
     def test_wrong_format_exits_1(self, tmp_path, capsys):
         src = write(tmp_path / "op.json", ser.diffop_obj(hill_op()))

@@ -60,9 +60,14 @@ from opercalc.gauge import (
     normalize,
 )
 from opercalc.lie import model
-from opercalc.matrices import smat_add, smat_from_frac, smat_scale, smat_zero
+from opercalc.matrices import fmat_mul, smat_add, smat_from_frac, smat_scale, smat_zero
 from opercalc.series import Density, LaurentSeries, is_exact_zero
-from oracles import flag_pairing_loop
+from oracles import (
+    flag_gram_loop,
+    flag_pairing_loop,
+    probe_slot_constant,
+    selfdual_connection_probed,
+)
 
 Z = LaurentSeries.monomial(1, 1)
 ONE = LaurentSeries.one()
@@ -459,6 +464,30 @@ class TestFlagPairing:
         assert got == flag_outcome(flag_pairing_loop, args, trunc)[0]
         assert calls == (1 if args[0] else 0)
 
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(case=st_flag_case(), extra=st.integers(0, 1))
+    def test_gram_transposes_each_flag_operator_once(self, case, extra):
+        args, trunc = case
+        size = args[0] + extra
+        real, calls = transpose, []
+
+        def counted(v):
+            calls.append(v)
+            return real(v)
+
+        def gram(build):
+            try:
+                return build(DiffOp(*args), size=size, trunc=trunc)
+            except OperCalcError as e:
+                return type(e).__name__, str(e)
+
+        with mock.patch.object(dictionary, "transpose", counted), \
+                mock.patch("opercalc.diffops.transpose", counted):
+            got = gram(flag_gram)
+        assert got == gram(flag_gram_loop)
+        windowed = args[1] + args[2] == 1
+        assert len(calls) == (size if windowed else 0)
+
     def test_gram_pattern_so_odd(self):
         rng = random.Random(29)
         for order in (3, 5):
@@ -646,6 +675,39 @@ class TestEvenOrthogonal:
         rhs = [ONE, LaurentSeries.constant(2)]
         assert _series_solve(cols, rhs, None) == [ONE, LaurentSeries.constant(2, 3)]
 
+    def test_solve_refuses_without_an_invertible_pivot(self):
+        with pytest.raises(PreconditionError, match="no invertible pivot"):
+            _series_solve([[Z, Z * Z]], [ONE, ONE], None)
+
+    def test_solve_refuses_an_inconsistent_system(self):
+        # one column, two rows: x = 1 and x = 2
+        with pytest.raises(PreconditionError, match="inconsistent linear system"):
+            _series_solve([[ONE, ONE]], [ONE, LaurentSeries.constant(2)], None)
+
+    def test_extract_pins_the_section_by_its_middle_coordinate(self):
+        # the torus -1 on both fork roots keeps the kernel-line norm and turns
+        # the middle coordinate negative: the section changes sign with it,
+        # and so does f, its first-line component
+        rng = random.Random(49)
+        op, f = self.rnd_pair(rng, 2)
+        conn, _ = so_even_build(op, f)
+        minus = LaurentSeries.constant(-1)
+        flipped = gauge_apply(conn, GaugeElement(conn.model, {0: minus, 1: minus}, []))
+        assert (-flipped.q[3][2]).leading() < 0 < (-conn.q[3][2]).leading()
+        back, g = so_even_extract(flipped)
+        assert back == op and g == Density(-f.series, 2)
+
+    def test_extract_refuses_a_non_constant_flag_map(self):
+        rng = random.Random(49)
+        op, f = self.rnd_pair(rng, 2)
+        conn, _ = so_even_build(op, f)
+        v = conn.model._pair_vector(1, 0)
+        q = tuple(tuple(x + c * Z for x, c in zip(row, vrow)) for row, vrow in zip(conn.q, v))
+        bent = OperConnection(conn.model, conn.planck, q)
+        so_even_conditions(bent)
+        with pytest.raises(PreconditionError, match="extracted operator is not skew"):
+            so_even_extract(bent, trunc=24)
+
     def test_conditions_reject_other_families(self):
         rng = random.Random(46)
         conn = rnd_canonical(rng, "B", 2)
@@ -737,6 +799,99 @@ class TestEveryKindRoundTrips:
         back = diffop_from_oper(oper_from_diffop(op, kind, trunc=trunc), trunc=trunc or 20)
         assert back.agrees(op) and back.order == order
         verify_flag_pairing(op, trunc=24)
+
+
+SELF_DUAL_ORDERS = {"sp": (2, 4, 6, 8), "so_odd": (3, 5, 7)}
+SELF_DUAL_SHAPES = ("exact", "truncated", "broken")
+
+
+@st.composite
+def st_selfdual_case(draw):
+    """An sp operator of order 2-8 or an so_odd one of order 3-7 at planck 1,
+    1/2 or 0, with exact or truncated coefficients or broken self-adjointness,
+    and the truncation to build it at."""
+    kind = draw(st.sampled_from(sorted(SELF_DUAL_ORDERS)))
+    order = draw(st.sampled_from(SELF_DUAL_ORDERS[kind]))
+    h = draw(st.sampled_from([F(1), F(1, 2), F(0)]))
+    # a seeded generator spreads the shapes evenly; through hypothesis's randoms
+    # about half of the cases came out truncated
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    coeffs = list(rnd_selfdual(rng, order, planck=h).coeffs)
+    shape = rng.choice(SELF_DUAL_SHAPES)
+    if shape == "truncated":
+        coeffs[:-1] = [c.truncate(rng.randint(3, 10)) if rng.random() < 0.5 else c
+                       for c in coeffs[:-1]]
+    elif shape == "broken":
+        # a term of this parity is +-D^i f + lower terms under the transpose,
+        # off by sign from what L^t = +-L asks
+        i = rng.randrange(order - 1, -1, -2)
+        coeffs[i] = coeffs[i] + Z ** rng.randint(0, 3)
+    a = F(1 - order, 2)
+    trunc = draw(st.sampled_from([None, 24, 12, 6]))
+    return (order, a, a + order, h, coeffs), kind, trunc
+
+
+def build_outcome(build, args, kind, trunc):
+    """The model, planck and (val, nums, den, trunc) of each entry of the
+    connection build makes from a fresh operator, or the type and message of
+    what it raises."""
+    try:
+        conn = build(DiffOp(*args), kind, trunc)
+    except OperCalcError as e:
+        return type(e).__name__, str(e)
+    return conn.model.name(), conn.planck, [[(s.val, s.nums, s.den, s.trunc) for s in row]
+                                            for row in conn.q]
+
+
+def readoff_calls(fn):
+    """fn() and the number of _flag_readoff calls it made."""
+    real, calls = dictionary._flag_readoff, []
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    with mock.patch.object(dictionary, "_flag_readoff", counted):
+        return fn(), len(calls)
+
+
+def trace_of_product(a, b):
+    """tr(a b) as the sum of a[i][j] b[j][i]."""
+    return sum(a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a)))
+
+
+class TestSelfDualSlotConstants:
+    """The sp / so_odd build takes slot constant d as tr(y^d B_d) (Kostant 1959;
+    Drinfeld-Sokolov 1985); the reference probes it with a full read-off of
+    the constant oper y + B_d."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(case=st_selfdual_case())
+    def test_closed_form_constants_match_the_probed_build(self, case):
+        args, kind, trunc = case
+        got = build_outcome(oper_from_diffop, args, kind, trunc)
+        assert got == build_outcome(selfdual_connection_probed, args, kind, trunc)
+
+    @pytest.mark.parametrize("family", ["B", "C"])
+    def test_probed_slot_is_the_trace(self, family):
+        for rank in range(1, 13):
+            m = model(family, rank)
+            for h in (F(1), F(1, 2), F(0)) if rank <= 8 else (F(1),):
+                for r, d in enumerate(m.exponents):
+                    power = m.y
+                    for _ in range(d - 1):
+                        power = fmat_mul(power, m.y)
+                    (b,) = m.kostant_data(d)["vbasis"]
+                    g = probe_slot_constant(m, h, r)
+                    assert g != 0 and g == trace_of_product(power, b), (family, rank, h, d)
+
+    @pytest.mark.parametrize("kind,order", [("sp", n) for n in (2, 4, 6, 8)]
+                             + [("so_odd", n) for n in (3, 5, 7)], ids=str)
+    def test_one_readoff_per_slot_and_one_to_check(self, kind, order):
+        rng = random.Random(f"readoffs:{kind}{order}")
+        op = rnd_selfdual(rng, order)
+        conn, calls = readoff_calls(lambda: oper_from_diffop(op, kind, trunc=24))
+        assert calls == conn.model.rank + 1
 
 
 # -- Miura opers: closed forms from a factorization ---------------------------------

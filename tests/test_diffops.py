@@ -336,6 +336,20 @@ class TestPseudoSymbols:
         with pytest.raises(PreconditionError):
             PseudoSymbol(0, -2, 0, 0, 1, {-3: ONE})
 
+    def test_negation_difference_and_repr(self):
+        s = PseudoSymbol(1, -1, 0, 1, 1, {1: ONE, -1: Z})
+        assert repr(s) == "PseudoSymbol[0->1, floor=-1]((1)*D^1 + (z^1)*D^-1)"
+        neg = -s
+        assert (neg.top, neg.floor, neg.exact_below) == (1, -1, False)
+        assert neg.coeffs == {1: -ONE, -1: -Z}
+        assert repr(neg) == "PseudoSymbol[0->1, floor=-1]((-1)*D^1 + (-1*z^1)*D^-1)"
+        t = PseudoSymbol(0, -2, 0, 1, 1, {0: Z, -2: ONE})
+        diff = s - t
+        # the unknown tail of t starts at -2, that of s at -1: the difference knows down to -1
+        assert (diff.top, diff.floor) == (1, -1)
+        assert all(diff.coeff(i) == c for i, c in ((1, ONE), (0, -Z), (-1, Z)))
+        assert (s - s).coeffs == {} and repr(s - s) == "PseudoSymbol[0->1, floor=-1](0)"
+
     def test_floor_access(self):
         s = PseudoSymbol(0, -2, 0, 0, 1, {-1: Z})
         assert s.coeff(-1) == Z and s.coeff(-2).is_zero()

@@ -993,6 +993,18 @@ class TestInputChecks:
         with pytest.raises(PreconditionError, match="step 1 violates the algebra constraints"):
             GaugeElement(m, {}, [u]).validate()
 
+    def test_agrees_across_models_and_tori(self):
+        a1, b1 = model("A", 1), model("B", 1)
+        two = {0: LaurentSeries.constant(2)}
+        assert GaugeElement(a1, two, []).agrees(GaugeElement(a1, {0: 2 * ONE.truncate(4)}, []))
+        # a missing torus index reads 1, in either slot
+        assert GaugeElement(a1, {0: ONE}, []).agrees(identity_gauge(a1))
+        assert not GaugeElement(a1, two, []).agrees(identity_gauge(a1))
+        assert not identity_gauge(a1).agrees(GaugeElement(a1, two, []))
+        # the same data over another model never agrees
+        assert not identity_gauge(a1).agrees(identity_gauge(b1))
+        assert not GaugeElement(a1, two, []).agrees(GaugeElement(b1, two, []))
+
     def test_apply_and_compose_need_one_model(self):
         a1, a2 = model("A", 1), model("A", 2)
         conn = OperConnection(a1, F(1), smat_from_frac(a1.y))

@@ -276,6 +276,18 @@ class TestLinear:
         with pytest.raises(PreconditionError, match="different ranges"):
             A + B
 
+    def test_hash_repr_and_agrees_across_shapes(self):
+        K = BiKernel(1, F(1, 2), -2, -1, {-2: ONE, -1: Z})
+        same = BiKernel(1, F(1, 2), -2, -1, {-1: Z, -2: ONE})
+        assert K == same and hash(K) == hash(same) and len({K, same}) == 1
+        assert repr(K) == "BiKernel[1,1/2; D=(z1-z2) in [-2,-1]] (1)*D^-2 + (z^1)*D^-1"
+        assert repr(BiKernel(0, 0, 0, 0, {})) == "BiKernel[0,0; D=(z1-z2) in [0,0]] 0"
+        assert K.agrees(BiKernel(1, F(1, 2), -2, -1, {-2: ONE.truncate(3), -1: Z}))
+        # the same coefficients under another bidegree or range never agree
+        assert not K.agrees(BiKernel(F(1, 2), 1, -2, -1, {-2: ONE, -1: Z}))
+        assert not K.agrees(BiKernel(1, F(1, 2), -3, -1, {-2: ONE, -1: Z}))
+        assert not K.agrees(BiKernel(1, F(1, 2), -2, 0, {-2: ONE, -1: Z}))
+
     def test_common_jet_order(self):
         a = LaurentSeries.from_terms({0: 1}, trunc=5)
         K = BiKernel(1, 1, 0, 1, {0: a, 1: ONE})

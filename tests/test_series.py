@@ -300,6 +300,13 @@ class TestDensity:
         b = Density(1 + Z, F(3, 2))
         assert (a * b).weight == 2
 
+    def test_sum_and_difference(self):
+        a, b = Density(Z, F(3, 2)), Density(1 + Z, F(3, 2))
+        assert a + b == Density(1 + 2 * Z, F(3, 2))
+        assert a - b == Density(LaurentSeries.constant(-1), F(3, 2))
+        with pytest.raises(PreconditionError, match="weights 3/2 and 2"):
+            a - Density(Z, 2)
+
     def test_add_requires_equal_weight(self):
         with pytest.raises(PreconditionError):
             Density(Z, 1) + Density(Z, 2)
