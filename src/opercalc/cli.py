@@ -240,19 +240,15 @@ def _hill_potential(op: DiffOp) -> LaurentSeries:
 
 def _kernel_checks(op: DiffOp, names: List[str]):
     """Yield (name, lhs, rhs, pass) for the requested identities."""
-    from .diffops import diffop_from_kernel, kernel_from_diffop, to_plain
+    from .diffops import diffop_from_kernel, kernel_from_diffop, symmetric_square, to_plain
 
     for name in names:
         if name in ("pow43", "pow23"):
             u = _hill_potential(op)
             k = kernel_from_diffop(op).symmetrize_lift(-1, 1)
             if name == "pow43":
-                from .dictionary import sl2_to_o3
-                from .series import Density
-
                 lhs = k.power(Fraction(4, 3))
-                _, lt = sl2_to_o3(Density(u, 2), planck=op.planck)
-                rhs = kernel_from_diffop(lt)
+                rhs = kernel_from_diffop(symmetric_square(u, op.planck))
             else:
                 lhs = k.power(Fraction(2, 3))
                 rhs = lhs.swap()

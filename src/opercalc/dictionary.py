@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .diffops import (DiffOp, PseudoSymbol, _pairing_transposed, compose, pairing,
-                      pseudo_invert, to_plain, transpose)
+                      pseudo_invert, symmetric_square, to_plain, transpose)
 from .errors import MalformedInputError, NotAnOperError, PreconditionError
 from .gauge import CanonicalForm, GaugeElement, OperConnection, gauge_apply
 from .lie import LieModel, model as lie_model
@@ -364,19 +364,6 @@ def flag_gram(op: DiffOp, size: Optional[int] = None,
     ]
 
 
-def gram_horizontal(op: DiffOp, trunc: Optional[int] = None) -> bool:
-    """h * dG_ij = G_{i+1,j} + G_{i,j+1} on the extended Gram matrix."""
-    n = op.order
-    h = op.planck
-    g = flag_gram(op, size=n + 1, trunc=trunc)
-    for i in range(n):
-        for j in range(n):
-            lhs = h * g[i][j].derivative() if h else ZERO
-            if not lhs.agrees(g[i + 1][j] + g[i][j + 1]):
-                return False
-    return True
-
-
 # -- the rank-one bridge ----------------------------------------------------------
 
 
@@ -398,10 +385,7 @@ def sl2_to_o3(u: Density, planck: Rat = 1) -> Tuple[OperConnection, DiffOp]:
     ]
     conn = OperConnection(lie_model("B", 1), h, q)
     conn.validate()
-    lt = DiffOp.from_map(
-        {3: ONE, 1: 4 * s, 0: (2 * h) * s.derivative()}, -1, 2, h
-    )
-    return conn, lt
+    return conn, symmetric_square(s, h)
 
 
 # -- the even orthogonal pair ------------------------------------------------------

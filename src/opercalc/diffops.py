@@ -448,6 +448,14 @@ def to_plain(op: DiffOp) -> DiffOp:
     )
 
 
+def symmetric_square(u: LaurentSeries, planck: Rat = 1) -> DiffOp:
+    """D^3 + 4u D + 2h u', the symmetric square of the Hill operator D^2 + u,
+    from weight -1 to weight 2 densities."""
+    h = _fr(planck)
+    return DiffOp.from_map({3: LaurentSeries.one(), 1: 4 * u, 0: (2 * h) * u.derivative()},
+                           -1, 2, h)
+
+
 def lie_action(v: Density, weight: Rat, planck: Rat = 1) -> DiffOp:
     """The first-order operator phi -> g phi' + weight g' phi for v = g (dz)^(-1)."""
     if v.weight != -1:

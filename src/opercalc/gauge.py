@@ -57,7 +57,7 @@ from .matrices import (
     smat_zero,
 )
 from .record import Record
-from .series import Density, LaurentSeries, dot, is_exact_zero
+from .series import Density, LaurentSeries, _tmin, dot, is_exact_zero
 
 __all__ = [
     "CanonicalForm", "GaugeElement", "OperConnection", "act_quadratic_differential",
@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 ONE = LaurentSeries.one()
+ZERO = LaurentSeries.zero()
 
 
 class OperConnection(Record):
@@ -434,16 +435,11 @@ def _oper_subdiagonal(model: LieModel, parts: Dict[int, SeriesMatrix]) -> List[L
     return model.subdiagonal_coords(parts[-1])
 
 
-def normalize(conn: OperConnection, trunc: Optional[int] = None,
-              deriv: Optional[LaurentSeries] = None) -> Tuple[GaugeElement, CanonicalForm]:
-    """The unique gauge moving the connection to y + sum v_d B_d, and that form."""
-    model = conn.model
-    f = ONE if deriv is None else deriv
-    conn = conn.truncated(trunc)
-    conn.validate()
-    q = conn.q
-    parts = model.grade_parts(q)
-    a = _oper_subdiagonal(model, parts)
+def _torus_to_y(model: LieModel, q: SeriesMatrix, planck: Fraction, deriv: LaurentSeries,
+                trunc: Optional[int]) -> Tuple[Dict[int, LaurentSeries], SeriesMatrix]:
+    """The torus c_r = k_r / a_r that takes each negative simple root coefficient
+    a_r of q (cut at trunc) to y's k_r, and q moved by it."""
+    a = _oper_subdiagonal(model, model.grade_parts(q))
     torus: Dict[int, LaurentSeries] = {}
     inverses: Dict[int, LaurentSeries] = {}
     for r, (ar, kr) in enumerate(zip(a, model.y_coeffs)):
@@ -458,8 +454,38 @@ def normalize(conn: OperConnection, trunc: Optional[int] = None,
             # at trunc, so ar is certified to some t <= trunc, or exact and then a
             # constant (div refuses any other), and c = kr / ar to the same t
             inverses[r] = ar * (1 / kr)
-    if torus:
-        q = _apply_torus(model, torus, inverses.__getitem__, q, conn.planck, f)
+    if not torus:
+        return torus, q
+    # Ad(t^-1) takes a degree -1 entry s at root r (a_r, or a mate, which agrees
+    # with +-a_r below their common order) to s c_r.  c_r is k_r times the
+    # truncated inverse of a_r's known coefficients, so a_r c_r's known
+    # coefficients are exactly k_r, and s c_r's are y's +-k_r at s: each such
+    # entry is y's constant, certified where the product would be (c_r is a
+    # unit, val 0), and is written here rather than multiplied by the swollen c_r.
+    low = []
+    q = [list(row) for row in q]
+    for i, row in enumerate(q):
+        for j, x in enumerate(row):
+            if model.grades[i][j] == -1 and not is_exact_zero(x):
+                c = torus.get(model.root_coords(i, j).index(-1))
+                if c is not None:
+                    t = x.trunc if c.trunc is None else _tmin(x.trunc, c.trunc + x.val)
+                    low.append((i, j, t))
+                    row[j] = ZERO
+    out = _apply_torus(model, torus, inverses.__getitem__, q, planck, deriv)
+    for i, j, t in low:
+        out[i][j] = ONE.truncate(t) * model.y[i][j]
+    return torus, out
+
+
+def normalize(conn: OperConnection, trunc: Optional[int] = None,
+              deriv: Optional[LaurentSeries] = None) -> Tuple[GaugeElement, CanonicalForm]:
+    """The unique gauge moving the connection to y + sum v_d B_d, and that form."""
+    model = conn.model
+    f = ONE if deriv is None else deriv
+    conn = conn.truncated(trunc)
+    conn.validate()
+    torus, q = _torus_to_y(model, conn.q, conn.planck, f, trunc)
     steps: List[SeriesMatrix] = []
     exps: List[Optional[SeriesMatrix]] = []
     vout: List[LaurentSeries] = []

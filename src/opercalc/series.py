@@ -20,20 +20,23 @@ Products run on one integer kernel, Kronecker substitution: a coefficient
 list is evaluated at 2^k as one Python int, with the slot width k derived
 from the operand sizes so that every signed output coefficient fits, and one
 big-int product is read back, at C speed through a memoryview cast for
-slots of 1, 2, 4 and 8 bytes (3 rounds up to 4, 5-7 to 8).  A monomial
-factor only scales, and operands of fewer than four terms are convolved term
-by term.  A sum of products, :func:`dot`, brings its terms over one common
-denominator and packs those without a monomial factor into one integer at
-the slot width that sum needs, so an entry of a series-matrix product or a
-symbol coefficient is built by one ``_series`` call, not by one per product
-and per partial sum; rational weights on its terms ride in the same
-denominator scales.
+slots of 1, 2, 4 and 8 bytes (3 rounds up to 4, 5-7 to 8).  A short list is
+packed by shifting, a long one (n^2 kb past ``_PACK_BYTES``) by writing its
+slots as bytes and reading them once; a square packs its one operand once.
+A monomial factor only scales, and operands of fewer than four terms are
+convolved term by term.  A sum of products, :func:`dot`, brings its terms
+over one common denominator and packs those without a monomial factor into
+one integer at the slot width that sum needs, so an entry of a series-matrix
+product or a symbol coefficient is built by one ``_series`` call, not by one
+per product and per partial sum; rational weights on its terms ride in the
+same denominator scales.
 
 Rational powers run J.C.P. Miller's recurrence fraction-free
 (:func:`unit_power`): the k-th coefficient of (1 + eps)^e, e = p/q, is kept
 as an integer (over the ring of eps) G_k over the scale S_k = (q^2 a_0)^k,
-because binom(p/q, m) q^(2m) is always an integer.  The inverse of a
-non-monomial series is the same recurrence at e = -1.
+because binom(p/q, m) q^(2m) is always an integer, and each order is one
+integer dot.  The inverse of a non-monomial series is the same recurrence at
+e = -1.
 """
 
 from __future__ import annotations
@@ -126,10 +129,10 @@ def unit_power(eps: Sequence, e: Fraction, one, a0: int = 1) -> Tuple[list, List
       - ints, for series powers and inverses (eps the numerators, a0 the
         leading numerator, of either sign; `one` may be any integer, which
         then scales every G_k, as the recurrence is linear): each order is
-        two C-level integer dots, against U_j and against j U_j, and one
-        exact // k; the dots stop at the last nonzero eps_j.  At p + q = 0
-        (e = -1, the inverse) the j U_j dot has weight 0 and is not built,
-        so G_k = -sum U_j G_{k-j};
+        one C-level integer dot, the small weights (p+q) j - q k (a range in
+        j) applied to the U_j first, and one exact // k; the dot stops at the
+        last nonzero eps_j.  At p + q = 0 (e = -1, the inverse) every weight
+        is -q k, so G_k = -q sum U_j G_{k-j};
       - series, for kernel powers (a0 = 1): each order is one weighted
         :func:`dot` of the eps_j G_{k-j}, weights ((p+q) j - q k) q^(2j-1) a0^(j-1) / k.
     Returns the lists G_0..G_n and S_0..S_n.
@@ -142,13 +145,14 @@ def unit_power(eps: Sequence, e: Fraction, one, a0: int = 1) -> Tuple[list, List
         while last and not eps[last - 1]:
             last -= 1  # U_j = 0 past the last nonzero eps_j, so the dots stop there
         U = list(map(mul, eps[:last], accumulate(repeat(s, last - 1), mul, initial=q)))
-        JU = [j * u for j, u in enumerate(U, 1)] if p + q else []
+        d = p + q
         for k in range(1, n + 1):
-            # k G_k = (p+q) sum j U_j G_{k-j} - q k sum U_j G_{k-j}; map stops at
-            # the shorter of U and G, so j runs to min(k, last)
-            g = -q * sum(map(mul, U, reversed(G)))
-            if JU:
-                g += (p + q) * sum(map(mul, JU, reversed(G))) // k
+            # map stops at the shorter of U and G, so j runs to min(k, last)
+            if d:
+                w = d - q * k  # the weight at j = 1, rising by d per j
+                g = sum(map(mul, map(mul, range(w, w + d * min(k, last), d), U), reversed(G))) // k
+            else:
+                g = -q * sum(map(mul, U, reversed(G)))
             G.append(g)
     else:
         f = list(accumulate(repeat(s, n - 1), mul, initial=q))  # f[j-1] = q^(2j-1) a0^(j-1)
@@ -161,12 +165,28 @@ def unit_power(eps: Sequence, e: Fraction, one, a0: int = 1) -> Tuple[list, List
 _SCHOOL = 4  # a shorter operand is convolved term by term, not packed
 
 
-def _pack(xs: Sequence[int], k: int) -> int:
-    """sum_i xs[i] 2^(k i): the integer list evaluated at 2^k, signs kept."""
-    acc = 0
-    for x in reversed(xs):
-        acc = (acc << k) + x
-    return acc
+# n^2 kb at and above which _pack writes n slots of kb bytes rather than shifting
+_PACK_BYTES = 20000
+
+
+def _pack(xs: Sequence[int], kb: int) -> int:
+    """sum_i xs[i] 2^(8 kb i), each |xs[i]| < 2^(8 kb - 1): the list evaluated at 2^(8 kb).
+
+    Shifting a growing accumulator copies it once per slot, about n^2 kb / 2
+    bytes in all, which is cheap only for short lists.  Longer ones are
+    written as the mirror of :func:`_unpack`: each slot biased by
+    2^(8 kb - 1) into kb nonnegative little-endian bytes, read once, less
+    the sum of the biases.
+    """
+    n = len(xs)
+    if n * n * kb < _PACK_BYTES:
+        k, acc = 8 * kb, 0
+        for x in reversed(xs):
+            acc = (acc << k) + x
+        return acc
+    half = 1 << (8 * kb - 1)
+    buf = b"".join([(x + half).to_bytes(kb, "little") for x in xs])
+    return int.from_bytes(buf, "little") - int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
 
 
 def _unpack(c: int, kb: int, n: int) -> List[int]:
@@ -209,15 +229,23 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
 
     Kronecker substitution: both lists are evaluated at 2^k, with k wide
     enough for every signed output coefficient, the two integers are
-    multiplied once and the product is read back slot by slot.  A shorter
-    operand is run term by term instead, and a monomial only scales.
+    multiplied once and the product is read back slot by slot.  A list
+    times itself is packed once, and CPython squares an int multiplied by
+    itself.  A shorter operand is run term by term instead, and a monomial
+    only scales.
     """
+    square = a is b
     a, b = a[:n], b[:n]
     if len(a) > len(b):
         a, b = b, a
     if len(a) >= _SCHOOL:
-        kb = _slot_bytes(len(a) * _maxabs(a) * _maxabs(b))
-        return _unpack(_pack(a, 8 * kb) * _pack(b, 8 * kb), kb, n)
+        ma = _maxabs(a)
+        bound = len(a) * ma * (ma if square else _maxabs(b))
+        if not bound:
+            return [0] * n  # an all-zero operand, whose partner's slots need not fit
+        kb = _slot_bytes(bound)
+        pa = _pack(a, kb)
+        return _unpack(pa * (pa if square else _pack(b, kb)), kb, n)
     if len(a) == 1:
         c = a[0]
         return [c * y for y in b] + [0] * (n - len(b))
@@ -677,7 +705,7 @@ def _dot(terms: Sequence[Tuple[LaurentSeries, LaurentSeries]],
         k = 8 * kb
         acc = 0
         for xs, ys, s, off in packed:
-            acc += (_pack(xs, k) * _pack(ys, k) * s) << (k * off)
+            acc += (_pack(xs, kb) * _pack(ys, kb) * s) << (k * off)
         nums = _unpack(acc, kb, n)
     else:
         nums = [0] * n

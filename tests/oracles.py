@@ -5,12 +5,15 @@ nothing in ``src/`` calls it.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from unittest import mock
 
-from opercalc.dictionary import _canonical_readoff, _require_window, verify_flag_pairing
+from opercalc.dictionary import (_canonical_readoff, _require_window, flag_gram,
+                                 verify_flag_pairing)
 from opercalc.diffops import DiffOp, pairing, transpose
-from opercalc.errors import PreconditionError
-from opercalc.gauge import CanonicalForm
+from opercalc.errors import NotAnOperError, PreconditionError
+from opercalc.gauge import CanonicalForm, _apply_torus, _oper_subdiagonal
 from opercalc.lie import model as lie_model
 from opercalc.series import LaurentSeries
 
@@ -129,3 +132,62 @@ def flag_gram_loop(op, size=None, trunc=None):
     one = LaurentSeries.one()
     ops = [DiffOp.from_map({i: one}, op.src, op.src + i, op.planck) for i in range(n)]
     return [[pairing(u, v, op, trunc=trunc) for v in ops] for u in ops]
+
+
+def gram_horizontal(op, trunc=None):
+    """h * dG_ij = G_{i+1,j} + G_{i,j+1} on the extended Gram matrix."""
+    n = op.order
+    h = op.planck
+    g = flag_gram(op, size=n + 1, trunc=trunc)
+    for i in range(n):
+        for j in range(n):
+            lhs = h * g[i][j].derivative() if h else LaurentSeries.zero()
+            if not lhs.agrees(g[i + 1][j] + g[i][j + 1]):
+                return False
+    return True
+
+
+def pack_by_shifts(xs, kb):
+    """sum_i xs[i] 2^(8 kb i), one shift of the accumulator per slot.
+    Reference for ``series._pack`` on either side of its size rule."""
+    acc = 0
+    for x in reversed(xs):
+        acc = (acc << (8 * kb)) + x
+    return acc
+
+
+def unit_power_two_dots(eps, e, one, a0=1):
+    """G_0..G_n and S_0..S_n of ``series.unit_power`` over the ints, each order
+    as two dots, against U_j and against j U_j:
+    k G_k = (p+q) sum j U_j G_(k-j) - q k sum U_j G_(k-j).
+    Reference for the one-dot recurrence."""
+    p, q = e.numerator, e.denominator
+    s, n = q * q * a0, len(eps)
+    G = [one]
+    U = list(map(mul, eps, accumulate(repeat(s, n - 1), mul, initial=q)))
+    JU = [j * u for j, u in enumerate(U, 1)]
+    for k in range(1, n + 1):
+        g = -q * sum(map(mul, U, reversed(G)))
+        g += (p + q) * sum(map(mul, JU, reversed(G))) // k
+        G.append(g)
+    return G, list(accumulate(repeat(s, n), mul, initial=1))
+
+
+def torus_by_products(model, q, planck, deriv, trunc):
+    """The torus c_r = k_r / a_r of ``normalize`` and q moved by it, every
+    entry multiplied by its character, the degree -1 entries by c_r itself.
+    Reference for ``gauge._torus_to_y``, which writes those entries."""
+    a = _oper_subdiagonal(model, model.grade_parts(q))
+    torus, inverses = {}, {}
+    for r, (ar, kr) in enumerate(zip(a, model.y_coeffs)):
+        if not ar.is_unit():
+            raise NotAnOperError(
+                f"coefficient on the negative simple root {r} has no invertible constant term"
+            )
+        c = LaurentSeries.constant(kr).div(ar, trunc=trunc)
+        if not (c.is_exact() and c == LaurentSeries.one()):
+            torus[r] = c
+            inverses[r] = ar * (1 / kr)
+    if torus:
+        q = _apply_torus(model, torus, inverses.__getitem__, q, planck, deriv)
+    return torus, q

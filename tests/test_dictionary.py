@@ -43,7 +43,6 @@ from opercalc.dictionary import (
     diffop_from_oper,
     dualize,
     flag_gram,
-    gram_horizontal,
     oper_from_diffop,
     sl2_to_o3,
     so_even_build,
@@ -65,6 +64,7 @@ from opercalc.series import Density, LaurentSeries, is_exact_zero
 from oracles import (
     flag_gram_loop,
     flag_pairing_loop,
+    gram_horizontal,
     probe_slot_constant,
     selfdual_connection_probed,
 )

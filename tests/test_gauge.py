@@ -51,7 +51,7 @@ from opercalc.matrices import (
     smat_zero,
 )
 from opercalc.series import Density, LaurentSeries, is_exact_zero
-from oracles import desingularize_componentwise, inverse_calls, smat_identity
+from oracles import desingularize_componentwise, inverse_calls, smat_identity, torus_by_products
 
 Z = LaurentSeries.monomial(1, 1)
 ONE = LaurentSeries.one()
@@ -273,6 +273,94 @@ class TestTorusInverses:
             for k in m.y_coeffs:
                 c = LaurentSeries.constant(k).div(a, trunc=trunc)
                 assert c.inverse(trunc=trunc) == a * (1 / k), (a, k)
+
+
+TORUS_MODELS = [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
+TORUS_T = 8  # certified order of a truncated input before any cut
+
+
+def torus_case(rng, m, shape):
+    """(q, trunc, completion) for gauge._torus_to_y, as normalize hands it over.
+
+    Each coordinate of the graded basis is a drawn polynomial; on a negative
+    simple root it starts at a drawn multiple of y's constant there, and a
+    multiple of 1 on a constant leaves that root without a torus coordinate.
+    shape: "constant" (exact, constants on the negative simple roots, no
+    trunc), "exact" (exact, cut at trunc = TORUS_T), "truncated" (every entry
+    at TORUS_T) or "mates" (then each degree -1 entry cut on its own, below
+    or above its mate).  The completion is a model connection that agrees
+    with q wherever q is certified and differs past that: each coordinate's
+    tail changes from the highest order any of its entries certifies.  It is
+    None for the "constant" shape, which certifies every order.
+    """
+    T = TORUS_T
+    coords, basis = [], []
+    for d in range(-1, m.dmax + 1):
+        for b in m.graded_basis(d):
+            terms = {k: F(rng.randint(-4, 4), rng.randint(1, 3)) for k in range(1, T + 4)}
+            if d == -1:
+                i, j = next((i, j) for i, row in enumerate(b) for j, x in enumerate(row) if x == 1)
+                if shape == "constant" or rng.random() < 0.2:
+                    terms = {}
+                terms[0] = rng.choice([F(1), F(1), F(2), F(-1, 3)]) * m.y[i][j]
+            else:
+                terms[0] = F(rng.randint(-4, 4))
+            coords.append(LaurentSeries.from_terms(terms))
+            basis.append(b)
+    q = smat_combine(coords, basis)
+    trunc = T if shape == "exact" else None
+    if shape in ("exact", "truncated", "mates"):
+        q = [[x.truncate(T) for x in row] for row in q]
+    if shape == "mates":
+        for i, row in enumerate(q):
+            for j, x in enumerate(row):
+                if m.grades[i][j] == -1 and not is_exact_zero(x) and rng.random() < 0.7:
+                    row[j] = x.truncate(rng.randint(1, T))
+    if shape == "constant":
+        return q, trunc, None
+    tails = []
+    for x, b in zip(coords, basis):
+        known = max(q[i][j].trunc for i, row in enumerate(b) for j, c in enumerate(row) if c)
+        tail = {k: F(rng.randint(-9, 9), rng.randint(1, 5)) for k in range(known, known + 3)}
+        tails.append(x.truncate(known) + LaurentSeries.from_terms(tail))
+    return q, trunc, [[x.truncate(T + 4) for x in row] for row in smat_combine(tails, basis)]
+
+
+@pytest.mark.parametrize("family,rank", TORUS_MODELS)
+class TestTorusToY:
+    """normalize writes y's constant, certified where a_r c_r would be, on
+    each negative simple root position, in place of the product by the
+    swollen c_r = k_r / a_r: it must be == to the product path kept in
+    tests/oracles.py, and agree with the torus step of any completion."""
+
+    @pytest.mark.parametrize("shape", ["constant", "exact", "truncated", "mates"])
+    def test_matches_the_product_path(self, family, rank, shape):
+        m = model(family, rank)
+        rng = random.Random(f"{family}{rank}{shape}")
+        written = 0
+        for planck, deriv in ((F(1), ONE), (F(1, 2), ONE + Z * rnd_series(rng, 6)), (F(0), ONE)):
+            for _ in range(3):
+                q, trunc, _ = torus_case(rng, m, shape)
+                torus, out = gauge_module._torus_to_y(m, q, planck, deriv, trunc)
+                ref_torus, ref = torus_by_products(m, q, planck, deriv, trunc)
+                assert torus == ref_torus
+                assert [list(map(_key, row)) for row in out] == [list(map(_key, row)) for row in ref]
+                written += sum(1 for i, row in enumerate(out) for j, _ in enumerate(row)
+                               if m.grades[i][j] == -1 and m.root_coords(i, j).index(-1) in torus)
+        assert written
+
+    @pytest.mark.parametrize("shape", ["exact", "truncated", "mates"])
+    def test_completions_agree_on_every_certified_entry(self, family, rank, shape):
+        m = model(family, rank)
+        rng = random.Random(f"{family}{rank}{shape}+")
+        for _ in range(4):
+            q, trunc, full = torus_case(rng, m, shape)
+            torus, out = gauge_module._torus_to_y(m, q, F(1), ONE, trunc)
+            torus2, out2 = gauge_module._torus_to_y(m, full, F(1), ONE, None)
+            assert all(torus[r].agrees(torus2[r]) for r in torus)
+            for i, row in enumerate(out):
+                for j, x in enumerate(row):
+                    assert x.agrees(out2[i][j]), (i, j)
 
 
 def exp_calls(fn):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opercalc.errors import InsufficientTruncationError, PreconditionError
-from opercalc.series import (Density, LaurentSeries, _convolve, _slot_bytes, _unpack, dot,
-                             fraction_root, unit_power)
+from opercalc.series import (_PACK_BYTES, Density, LaurentSeries, _convolve, _pack, _slot_bytes,
+                             _unpack, dot, fraction_root, unit_power)
+from oracles import pack_by_shifts, unit_power_two_dots
 
 Z = LaurentSeries.monomial(1, 1)
 
@@ -796,3 +797,64 @@ class TestPackedKernels:
         assert key(got) == key(ref)
         assert all(type(x) is int for x in got.nums)
 
+
+
+# -- long series: the pack rule, squares and the one-dot recurrence ----------------
+
+
+def signed_ints(rng, n, bits):
+    """n nonzero signed integers of up to `bits` bits, mixed signs."""
+    return [rng.choice((1, -1)) * (rng.getrandbits(bits) | 1) for _ in range(n)]
+
+
+class TestLongSeries:
+    def test_pack_matches_the_shift_loop_on_both_sides_of_its_rule(self):
+        # every slot width the kernels read, 3 and 9 bytes among them, slots
+        # at the largest magnitude of either sign, 0 and +-1
+        rng = random.Random(14)
+        sides = set()
+        for kb in (1, 2, 3, 4, 8, 9, 86):
+            top = (1 << (8 * kb - 1)) - 1
+            for n in range(201):
+                xs = [rng.choice([top, -top, 0, 1, -1, rng.randint(-top, top)]) for _ in range(n)]
+                sides.add(n * n * kb >= _PACK_BYTES)
+                assert _pack(xs, kb) == pack_by_shifts(xs, kb), (kb, n)
+        assert sides == {False, True}
+
+    def test_squares_match_the_general_product(self):
+        # a list times itself packs once; a distinct list of the same length
+        # and wider coefficients must still take the general product
+        rng = random.Random(15)
+        for n in (4, 5, 17, 40, 90, 150):
+            for bits in (1, 8, 64, 300, 700):
+                a = tuple(signed_ints(rng, n, bits))
+                b = tuple(signed_ints(rng, n, bits + 40))
+                for cut in (0, 1, n, 2 * n - 1, 2 * n + 2):
+                    want = schoolbook(a, a, cut)
+                    assert _convolve(a, a, cut) == _convolve(a, list(a), cut) == want
+                    assert _convolve(a, b, cut) == _convolve(b, a, cut) == schoolbook(a, b, cut)
+
+    def test_series_squares_and_powers(self):
+        rng = random.Random(16)
+        for n in (3, 4, 12, 60, 140):
+            for trunc in (None, n + 5):
+                cs = [F(c, rng.randint(1, 30)) for c in signed_ints(rng, n, 90)]
+                x = LaurentSeries(-2, cs, trunc)
+                y = LaurentSeries(x.val, x.coeffs, x.trunc)  # equal, with its own nums
+                assert y == x and y.nums is not x.nums
+                assert x * x == x * y
+                assert x ** 3 == x * y * y
+                assert x ** 4 == (x * y) * (y * y)
+
+    @pytest.mark.parametrize("e", [F(-1), F(1, 2), F(-1, 2), F(1, 3), F(-1, 3), F(2, 3),
+                                   F(3, 2), F(-4, 3), F(5, 2)])
+    def test_unit_power_matches_the_two_dot_recurrence(self, e):
+        rng = random.Random(str(e))
+        for n in list(range(13)) + [20, 41, 80, 160]:
+            for a0 in ((2, -1, -12) if n > 20 else (2, -1, 3, -7, 12)):
+                eps = [rng.randint(-9, 9) for _ in range(n)]
+                if n and rng.random() < 0.5:  # trailing zero eps: the dot stops early
+                    cut = rng.randint(0, n - 1)
+                    eps[cut:] = [0] * (n - cut)
+                one = rng.choice((1, -5))
+                assert unit_power(eps, e, one, a0) == unit_power_two_dots(eps, e, one, a0), (n, a0)

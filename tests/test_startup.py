@@ -87,6 +87,14 @@ class TestModulesLoaded:
         assert code == 1
         assert ours(loaded) == CLI_BASE
 
+    def test_kernel_check_loads_no_connection_modules(self, tmp_path):
+        hill = DiffOp.from_map({2: ONE, 0: U}, F(-1, 2), F(3, 2), 1)
+        src = write(tmp_path / "hill.json", ser.diffop_obj(hill))
+        code, loaded = probe("kernel-check", src)
+        assert code == 0
+        assert not ours(loaded) & {"opercalc.dictionary", "opercalc.gauge", "opercalc.lie",
+                                   "opercalc.matrices"}
+
     def test_non_hill_operator_fails_before_the_dictionary_loads(self, tmp_path):
         cubic = DiffOp.from_map({3: ONE, 1: U, 0: U.derivative()}, -1, 2, 1)
         src = write(tmp_path / "op.json", ser.diffop_obj(cubic, kind="sl"))
