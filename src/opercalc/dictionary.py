@@ -232,12 +232,6 @@ def _require_window(op: DiffOp):
         raise PreconditionError("principal symbol must be 1")
 
 
-def _canonical_readoff(model: LieModel, planck: Fraction,
-                       vals: Sequence[LaurentSeries],
-                       trunc: Optional[int]) -> List[LaurentSeries]:
-    return _flag_readoff(CanonicalForm.of(model, planck, vals).matrix(), planck, trunc)
-
-
 def _jet(op: DiffOp, i: int) -> DiffOp:
     """D^i on the source weight of op: the i-th step of its jet flag."""
     return DiffOp.from_map({i: ONE}, op.src, op.src + i, op.planck)
@@ -288,8 +282,8 @@ def _sl_connection(op: DiffOp) -> OperConnection:
         )
     model = lie_model("A", n - 1)
     fs = companion_system(op)
+    # no validate(): A's one constraint is trace 0, and the trace -f_{n-1} was just checked
     conn = OperConnection(model, op.planck, fs.matrix)
-    conn.validate()
     return gauge_apply(conn, companion_torus(model))
 
 
@@ -316,22 +310,24 @@ def _selfdual_connection(op: DiffOp, kind: str, trunc: Optional[int]) -> OperCon
     # (-1)^d e_(d+1)(y + B_d).  By the grading, tr((y + B_d)^k) is 0 for k <= d
     # (y is nilpotent) and (d+1) tr(y^d B_d) at k = d + 1, so Newton's
     # identities leave g = tr(y^d B_d).  The exponents 1, 3, 5, ... step y^d by y^2.
+    # Each read-off serves the next slot, the last one the image check; y alone reads off as D^n.
     yd, y2 = model.y, fmat_mul(model.y, model.y)
     vals: List[LaurentSeries] = [ZERO] * model.rank
+    readoff: List[LaurentSeries] = [ZERO] * n
     for r, d in enumerate(model.exponents):
         (b,) = model.kostant_data(d)["vbasis"]
-        g = sum(yd[i][j] * b[j][i] for i in range(n) for j in range(n))
+        g = sum(yd[i][j] * x for j, row in enumerate(b) for i, x in enumerate(row) if x)
         yd = fmat_mul(yd, y2)
-        cur = _canonical_readoff(model, h, vals, trunc)[n - 1 - d]
-        vals[r] = (Fraction(1) / -g) * (op.coeff(n - 1 - d) + cur)
-    final = _canonical_readoff(model, h, vals, trunc)
+        vals[r] = (Fraction(1) / -g) * (op.coeff(n - 1 - d) + readoff[n - 1 - d])
+        q = CanonicalForm.of(model, h, vals).matrix()
+        readoff = _flag_readoff(q, h, trunc)
     for i in range(n):
-        if not (-final[i]).agrees(op.coeff(i)):
+        if not (-readoff[i]).agrees(op.coeff(i)):
             raise PreconditionError(
                 "operator is not in the image of the canonical connections of this kind"
             )
-    verify_flag_pairing(op, trunc=trunc)
-    return CanonicalForm.of(model, h, vals).connection()
+    # no verify_flag_pairing: its one pairing is (-1)^(n-1)/lead, a unit as lead agrees with 1
+    return OperConnection(model, h, q)
 
 
 # -- duality ---------------------------------------------------------------------
@@ -456,7 +452,6 @@ def so_even_build(op: DiffOp, f: Density,
     rows[n - 1][n - 2] = -eps * s
     q = smat_mul(smat_from_frac(Sinv), smat_mul(rows, smat_from_frac(S)))
     conn = OperConnection(mD, op.planck, q)
-    conn.validate()
     so_even_conditions(conn)
     plain = to_plain(op)
     d_inv = pseudo_invert(DiffOp.from_map({1: ONE}, 0, 1, 1), depth)

@@ -499,14 +499,13 @@ class LaurentSeries:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = LaurentSeries.one()
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            base = base * base if n else base
+        return LaurentSeries.one() if out is None else out
 
     def power_rational(self, e: Rat, trunc: Optional[int] = None) -> "LaurentSeries":
         """Rational power; non-integer e uses :func:`unit_power` (Miller's recurrence).

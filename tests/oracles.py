@@ -9,8 +9,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from unittest import mock
 
-from opercalc.dictionary import (_canonical_readoff, _require_window, flag_gram,
-                                 verify_flag_pairing)
+from opercalc.dictionary import _flag_readoff, _require_window, flag_gram, verify_flag_pairing
 from opercalc.diffops import DiffOp, pairing, transpose
 from opercalc.errors import NotAnOperError, PreconditionError
 from opercalc.gauge import CanonicalForm, _apply_torus, _oper_subdiagonal
@@ -77,6 +76,11 @@ def _constant_of(s):
     if not (s.is_monomial() and s.val == 0):
         raise AssertionError("expected a constant series")
     return s.leading()
+
+
+def _canonical_readoff(model, planck, vals, trunc):
+    """The read-off of the canonical connection with these densities."""
+    return _flag_readoff(CanonicalForm.of(model, planck, vals).matrix(), planck, trunc)
 
 
 def probe_slot_constant(model, h, r):

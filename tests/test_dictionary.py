@@ -11,13 +11,14 @@ Miura opers y + diag(phi) are checked against closed forms built from the phi_i.
 
 import random
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opercalc import dictionary
+from opercalc import dictionary, diffops
 from opercalc.diffops import (
     DiffOp,
     compose,
@@ -843,15 +844,15 @@ def build_outcome(build, args, kind, trunc):
                                             for row in conn.q]
 
 
-def readoff_calls(fn):
-    """fn() and the number of _flag_readoff calls it made."""
-    real, calls = dictionary._flag_readoff, []
+def call_count(module, name, fn):
+    """fn() and the number of calls it made to module.name."""
+    real, calls = getattr(module, name), []
 
     def counted(*a, **kw):
         calls.append(a)
         return real(*a, **kw)
 
-    with mock.patch.object(dictionary, "_flag_readoff", counted):
+    with mock.patch.object(module, name, counted):
         return fn(), len(calls)
 
 
@@ -887,11 +888,26 @@ class TestSelfDualSlotConstants:
 
     @pytest.mark.parametrize("kind,order", [("sp", n) for n in (2, 4, 6, 8)]
                              + [("so_odd", n) for n in (3, 5, 7)], ids=str)
-    def test_one_readoff_per_slot_and_one_to_check(self, kind, order):
+    def test_one_readoff_per_slot_and_no_pairing(self, kind, order):
+        # each read-off serves the next slot, the last one the image check;
+        # the flag pairing is not re-checked, so nothing is pseudo-inverted
         rng = random.Random(f"readoffs:{kind}{order}")
         op = rnd_selfdual(rng, order)
-        conn, calls = readoff_calls(lambda: oper_from_diffop(op, kind, trunc=24))
-        assert calls == conn.model.rank + 1
+        build = partial(oper_from_diffop, op, kind, trunc=24)
+        conn, readoffs = call_count(dictionary, "_flag_readoff", build)
+        assert call_count(diffops, "pseudo_invert", build) == (conn, 0)
+        assert readoffs == conn.model.rank
+
+    @pytest.mark.parametrize("kind,order", [("sp", 2), ("sp", 4), ("so_odd", 3), ("so_odd", 5)],
+                             ids=str)
+    def test_lead_agreeing_with_one_builds_at_trunc_zero(self, kind, order):
+        # with lead 1 + O(z), trunc 0 certifies no constant term of the flag
+        # pairing (-1)^(n-1)/lead; the build does not compute it
+        op = rnd_selfdual(random.Random(f"trunc0:{kind}{order}"), order)
+        cmap = {i: op.coeff(i) for i in range(order)}
+        cmap[order] = LaurentSeries.one(1)
+        op = DiffOp.from_map(cmap, op.src, op.tgt, op.planck)
+        assert oper_from_diffop(op, kind, trunc=0) == oper_from_diffop(op, kind, trunc=1)
 
 
 # -- Miura opers: closed forms from a factorization ---------------------------------

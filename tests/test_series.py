@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -109,6 +110,27 @@ class TestAddMul:
     def test_int_pow(self):
         assert (1 + Z) ** 3 == S({0: 1, 1: 3, 2: 3, 3: 1})
         assert (Z**-2) == LaurentSeries.monomial(1, -2)
+
+    @pytest.mark.parametrize("x", [1 + Z, S({0: 2, 1: -1, 3: F(1, 3)}, trunc=6),
+                                   S({-2: 3, 0: F(-1, 2)})], ids=["exact", "truncated", "laurent"])
+    def test_pow_squares_and_multiplies_in(self, x):
+        # x**n starts from x: bit_length(n) - 1 squares and popcount(n) - 1
+        # products into the result; x**0 is the exact 1 and makes none
+        real, calls = LaurentSeries.__mul__, []
+
+        def counted(a, b):
+            calls.append(b)
+            return real(a, b)
+
+        for n in range(10):
+            want = LaurentSeries.one()
+            for _ in range(n):
+                want = want * x
+            calls.clear()
+            with mock.patch.object(LaurentSeries, "__mul__", counted):
+                got = x ** n
+            assert got == want
+            assert len(calls) == (n.bit_count() + n.bit_length() - 2 if n else 0), n
 
 
 def naive_product(a, b):
