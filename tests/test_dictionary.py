@@ -595,6 +595,19 @@ class TestRankOneBridge:
         with pytest.raises(PreconditionError):
             sl2_to_o3(Density(Z, 1))
 
+    @pytest.mark.parametrize("shape", ["exact", "truncated", "laurent"])
+    def test_connection_is_in_so3(self, shape):
+        # the build does not validate: the matrix satisfies the mates for every s
+        rng = random.Random(f"o3:{shape}")
+        for h in (1, F(1, 2), 0):
+            for _ in range(4):
+                s = rnd_poly(rng)
+                if shape == "truncated":
+                    s = s.truncate(rng.randint(1, 5))
+                elif shape == "laurent":
+                    s = s * LaurentSeries.monomial(1, -rng.randint(1, 3))
+                sl2_to_o3(Density(s, 2), planck=h)[0].validate()
+
 
 class TestEvenOrthogonal:
     def rnd_pair(self, rng, k, planck=1):
@@ -756,6 +769,13 @@ class TestEvenOrthogonal:
         with pytest.raises(PreconditionError):
             so_even_extract(scaled, trunc=20)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_conditions_refuse_degree_below_minus_one(self, k):
+        m = model("D", k)
+        q = smat_add(smat_from_frac(m.y), smat_from_frac(m.graded_basis(-2)[0]))
+        with pytest.raises(NotAnOperError, match="components in degree -2 < -1"):
+            so_even_conditions(OperConnection(m, F(1), q))
+
     def test_build_needs_odd_order(self):
         rng = random.Random(50)
         op = rnd_selfdual(rng, 4)
@@ -908,6 +928,131 @@ class TestSelfDualSlotConstants:
         cmap[order] = LaurentSeries.one(1)
         op = DiffOp.from_map(cmap, op.src, op.tgt, op.planck)
         assert oper_from_diffop(op, kind, trunc=0) == oper_from_diffop(op, kind, trunc=1)
+
+
+# -- the even orthogonal pair: the identities that stand in for re-checks ------------
+
+D_MOVES = ("built", "torus", "unipotent")
+D_TRUNC = 12
+
+
+def d_pair_input(rng, k, h, truncated):
+    """A skew operator of order 2k - 1 and a weight-k density, cut at random orders when truncated."""
+    op = rnd_selfdual(rng, 2 * k - 1, planck=h)
+    f = rnd_poly(rng, deg=2)
+    if truncated:
+        cut = {i: c.truncate(rng.randint(4, 9)) for i, c in enumerate(op.coeffs[:-1])}
+        op = DiffOp.from_map({**cut, 2 * k - 1: ONE}, op.src, op.tgt, h)
+        f = f.truncate(rng.randint(4, 9))
+    return op, Density(f, k)
+
+
+def d_opers(k, move):
+    """so_even_build outputs at h = 1, 1/2, 0 from exact and truncated pairs, as built,
+    moved by a constant torus of squares, or moved by a unipotent gauge."""
+    out = []
+    for h in (F(1), F(1, 2), F(0)):
+        for truncated in (False, True):
+            rng = random.Random(f"d-oper:{k}:{move}:{h}:{truncated}")
+            conn, _ = so_even_build(*d_pair_input(rng, k, h, truncated))
+            m = conn.model
+            if move == "torus":
+                torus = {r: LaurentSeries.constant(rng.choice([4, F(1, 9), F(9, 4)]))
+                         for r in range(m.rank)}
+                conn = gauge_apply(conn, GaugeElement(m, torus, []))
+            elif move == "unipotent":
+                steps = []
+                for d in range(1, m.dmax + 1):
+                    u = smat_zero(m.N)
+                    for b in m.graded_basis(d):
+                        u = smat_add(u, smat_scale(rnd_poly(rng, deg=2), smat_from_frac(b)))
+                    steps.append(u)
+                conn = gauge_apply(conn, GaugeElement(m, {}, steps))
+            out.append(conn)
+    return out
+
+
+def extract_seen(conn, trunc):
+    """so_even_extract's pair, its section s and the coefficient its cyclic solve puts on s."""
+    real, seen = dictionary._series_solve, []
+
+    def spy(cols, rhs, t):
+        coeffs = real(cols, rhs, t)
+        seen.append((cols[-1], coeffs[-1]))
+        return coeffs
+
+    with mock.patch.object(dictionary, "_series_solve", spy):
+        pair = so_even_extract(conn, trunc=trunc)
+    (s, on_s), = seen
+    return pair, s, on_s
+
+
+def middle_norm(q, k, trunc):
+    """lam = 2 (-q[k+1][k]) q[k+1][k-1] and its square root mu, signed as extract signs it."""
+    mid = -q[k + 1][k]
+    lam = 2 * (mid * q[k + 1][k - 1])
+    mu = lam.sqrt(trunc)
+    return lam, (-mu if mid.leading() / mu.leading() < 0 else mu)
+
+
+D_PAIR_CASES = pytest.mark.parametrize("k,move", [(k, mv) for k in (2, 3, 4) for mv in D_MOVES],
+                                       ids=str)
+
+
+class TestEvenOrthogonalClosedForms:
+    """The identities that let so_even_build and so_even_extract skip their re-checks:
+    the D model's mates q[k-1][k-2] = -q[k+1][k] and q[k][k-2] = -q[k+1][k-1]
+    (Drinfeld-Sokolov 1985; Beilinson-Drinfeld, Opers)."""
+
+    @D_PAIR_CASES
+    def test_norm_is_the_fork_composite(self, k, move):
+        for conn in d_opers(k, move):
+            so_even_conditions(conn)
+            q = conn.truncated(D_TRUNC).q
+            fork = q[k + 1][k - 1] * q[k - 1][k - 2] + q[k + 1][k] * q[k][k - 2]
+            lam, _ = middle_norm(q, k, D_TRUNC)
+            assert fork.is_unit() and lam.agrees(fork)
+
+    @D_PAIR_CASES
+    def test_middle_factor_is_mu(self, k, move):
+        for conn in d_opers(k, move):
+            _, s, _ = extract_seen(conn, D_TRUNC)
+            q = conn.truncated(D_TRUNC).q
+            theta = q[k - 1][k - 2] * s[k] - q[k][k - 2] * s[k - 1]
+            assert theta == middle_norm(q, k, D_TRUNC)[1]
+
+    @D_PAIR_CASES
+    def test_section_is_horizontal_off_the_first_line(self, k, move):
+        for conn in d_opers(k, move):
+            (_, f), s, _ = extract_seen(conn, D_TRUNC)
+            nabla = dictionary._apply_nabla(conn.truncated(D_TRUNC).q, conn.planck, s)
+            assert all(row.is_zero() for row in nabla[1:])
+            assert f == Density(nabla[0], k)
+
+    @D_PAIR_CASES
+    def test_cyclic_relation_misses_the_section(self, k, move):
+        for conn in d_opers(k, move):
+            assert extract_seen(conn, D_TRUNC)[2].is_zero()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_extract_applies_nabla_to_the_cyclic_vectors_only(self, k):
+        # s is read through the rows it needs; the n - 1 full products are
+        # the cyclic vectors of the orthocomplement
+        conn = d_opers(k, "built")[0]
+        _, calls = call_count(dictionary, "_apply_nabla", lambda: so_even_extract(conn, D_TRUNC))
+        assert calls == 2 * k - 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_build_is_an_oper_without_rechecking(self, k):
+        for h in (F(1), F(1, 2), F(0)):
+            for truncated in (False, True):
+                rng = random.Random(f"d-build:{k}:{h}:{truncated}")
+                op, f = d_pair_input(rng, k, h, truncated)
+                for g in (f, Density(ZERO, k)):
+                    (conn, _), calls = call_count(dictionary, "so_even_conditions",
+                                                  partial(so_even_build, op, g))
+                    assert calls == 0
+                    so_even_conditions(conn)
 
 
 # -- Miura opers: closed forms from a factorization ---------------------------------

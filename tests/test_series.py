@@ -80,6 +80,10 @@ class TestCoefficientAccess:
         with pytest.raises(InsufficientTruncationError):
             S({}, trunc=0).is_unit()
 
+    def test_zero_has_no_leading_coefficient(self):
+        with pytest.raises(PreconditionError, match="zero series has no leading coefficient"):
+            LaurentSeries.zero().leading()
+
 
 class TestAddMul:
     def test_add_trunc_is_min(self):
@@ -241,6 +245,14 @@ class TestRationalPower:
     def test_valuation_must_stay_integral(self):
         with pytest.raises(PreconditionError):
             S({-2: 1}).power_rational(F(4, 3))
+
+    def test_certified_zero_has_no_rational_power(self):
+        with pytest.raises(PreconditionError, match="no certified leading term"):
+            LaurentSeries.zero(5).power_rational(F(1, 2))
+
+    def test_exact_non_monomial_needs_a_truncation(self):
+        with pytest.raises(InsufficientTruncationError, match="needs an explicit truncation"):
+            S({0: 4, 1: 1}).power_rational(F(1, 2))
 
     def test_leading_coefficient_must_have_root(self):
         with pytest.raises(PreconditionError):
